@@ -3,18 +3,16 @@
 //
 //   point  runs/sec of one run_point call (load 0.5) per thread count —
 //          the PR-1 hot-loop metric, unchanged;
-//   batch  runs/sec of the same point, single-threaded, across a batch-size
-//          ladder (1 = scalar engine forced, 0 = auto) — the batched
-//          engine's speedup over its scalar oracle, gated by bench_compare;
+//   batch  runs/sec of the same point, single-threaded, across a lane-count
+//          ladder (1 = one lane, 0 = auto) — the auto lane count's speedup
+//          over one lane, gated by bench_compare;
 //   dedup  runs/sec of the ATR point at alpha = 1 (discrete scenario
 //          space), single-threaded, dedup off vs on across a run-count
 //          ladder — the scenario-dedup cache's speedup and hit rate, gated
 //          by bench_compare --dedup-floor;
-//   sweep  points/sec of a whole 10-point load sweep per thread count,
-//          pooled (persistent pool, chunked claiming, point overlap, one
-//          canonical offline analysis) vs the pre-pool baseline (fresh
-//          thread spawn/join and a fresh offline analysis per point), with
-//          speedup and scaling efficiency;
+//   sweep  points/sec of a whole 10-point load sweep per thread count
+//          (persistent pool, chunked claiming, point overlap, one
+//          canonical offline analysis), with scaling efficiency;
 //   serve  requests/sec of the resident daemon (src/serve) on loopback,
 //          one ATR request line replayed by a ladder of concurrent NDJSON
 //          clients — measures the full service path (socket, parse,
@@ -167,10 +165,10 @@ int main(int argc, char** argv) {
   const ThroughputReport point_report = measure_throughput(
       app, cfg, deadline, thread_ladder(threads), fig.id + "@load=0.5", reps);
 
-  // Batched-vs-scalar engine section: the same point, single-threaded, at a
-  // batch-size ladder (1 = scalar engine forced, 0 = auto). Outputs are
-  // bit-identical across the ladder, so the ratio is pure engine overhead;
-  // bench_compare gates the auto-vs-scalar speedup against a floor.
+  // Lane-count section: the same point, single-threaded, at a lane-count
+  // ladder (1 = one lane, 0 = auto). Outputs are bit-identical across the
+  // ladder, so the ratio is pure engine overhead; bench_compare gates the
+  // auto-over-one-lane speedup against a floor.
   const BatchThroughputReport batch_report = measure_batch_throughput(
       app, cfg, deadline, {1, 8, 32, 0}, fig.id + "@load=0.5", reps);
 
@@ -189,8 +187,8 @@ int main(int argc, char** argv) {
                                fig.id + "-alpha1.0@load=0.5", reps);
 
   // Sweep mode: the paper's 10-point §5.1 load grid with short points, so
-  // orchestration (thread churn, repeated offline analyses, point
-  // serialization) dominates and the executor's win is visible.
+  // orchestration (claiming, offline analysis, point overlap) is a visible
+  // share of the time.
   ExperimentConfig sweep_cfg = cfg;
   sweep_cfg.runs = std::max(20, runs / 100);
   const std::vector<double> loads = sweep_range(0.1, 1.0, 0.1);

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -89,7 +88,8 @@ struct ChunkStage {
 
   /// Grows the scratch to `chunk_runs` entries (never shrinks, so the
   /// final short chunk of a point reuses the full-size buffers). Entries
-  /// are *not* cleared between chunks: evaluate_run assigns every field.
+  /// are *not* cleared between chunks: the chunk evaluators assign every
+  /// field.
   void ensure(int chunk_runs, std::size_t nschemes) {
     const auto n = static_cast<std::size_t>(chunk_runs);
     if (npm_energy.size() >= n) return;
@@ -112,6 +112,22 @@ struct ChunkStage {
 };
 static_assert(std::is_trivially_copyable_v<SchemeOutcome>,
               "ChunkStage::flush memcpys SchemeOutcome rows");
+
+/// Lanes per simulate_batch call of the chunk pipeline, or 0 for the
+/// per-run observed path, which the two configurations that observe the
+/// engine per run need: verify_traces (the scalar engine's completeness
+/// traversal) and a Tracer::Detail::kRuns tracer (one span per
+/// simulation). The lane count is output-invisible (the batched engine is
+/// bit-identical to the scalar one at every width), so auto just picks the
+/// measured sweet spot: large enough to amortize the per-batch setup
+/// (derived tables, devirtualized policy reset) over many runs, small
+/// enough that the batch's lane state stays cache-resident on one core.
+int batch_lanes_for(const ExperimentConfig& cfg) {
+  if (cfg.verify_traces) return 0;
+  if (cfg.tracer != nullptr && cfg.tracer->detail() == Tracer::Detail::kRuns)
+    return 0;
+  return cfg.batch > 0 ? cfg.batch : 32;
+}
 
 // ---- Scenario-dedup outcome memoization (DESIGN.md §15) -----------------
 //
@@ -137,12 +153,10 @@ static_assert(std::is_trivially_copyable_v<SchemeOutcome>,
 /// reports `space` distinct scenarios (0 = unbounded).
 bool dedup_for(const ExperimentConfig& cfg, std::uint64_t space) {
   // Replayed runs perform no engine work, so configurations whose purpose
-  // is per-run engine work keep the uncached path: verify_traces walks
-  // every run's trace, audit re-accounts every run three ways, and a
-  // per-run tracer spans every simulation.
-  if (cfg.verify_traces || cfg.audit) return false;
-  if (cfg.tracer != nullptr && cfg.tracer->detail() == Tracer::Detail::kRuns)
-    return false;
+  // is per-run engine work keep the uncached path: the observed path's
+  // verify_traces and per-run spans, and audit, which re-accounts every
+  // run three ways.
+  if (batch_lanes_for(cfg) == 0 || cfg.audit) return false;
   switch (cfg.dedup) {
     case DedupMode::kOff:
       return false;
@@ -206,20 +220,6 @@ void append_record(OutcomeShard& sh, const RecordTmp& tmp, bool metrics) {
   sh.rows.insert(sh.rows.end(), tmp.rows.begin(), tmp.rows.end());
   if (metrics)
     sh.cells.insert(sh.cells.end(), tmp.cells.begin(), tmp.cells.end());
-}
-
-/// Appends a new record copied from stage position `i` (the run that was
-/// just simulated there) plus its run-local counter cells.
-void append_record_from_stage(OutcomeShard& sh, const ChunkStage& stage,
-                              std::size_t i, std::size_t nschemes,
-                              const SimCounters* run_cells,
-                              std::size_t ncells) {
-  sh.npm_energy.push_back(stage.npm_energy[i]);
-  sh.degenerate.push_back(stage.degenerate[i]);
-  const SchemeOutcome* row = stage.schemes.data() + i * nschemes;
-  sh.rows.insert(sh.rows.end(), row, row + nschemes);
-  if (run_cells != nullptr)
-    sh.cells.insert(sh.cells.end(), run_cells, run_cells + ncells);
 }
 
 /// Replays cached record `id` into stage position `i`: copies the staged
@@ -307,9 +307,10 @@ struct SharedOutcomes {
   }
 };
 
-/// Observability context of one run, threaded through evaluate_run by the
-/// worker that owns the slot. Everything may be null/defaulted: a
-/// zero-initialized RunObs makes evaluate_run observation-free.
+/// Observability context of one chunk, threaded through the chunk
+/// evaluators by the worker that owns the slot. Everything may be
+/// null/defaulted: a zero-initialized RunObs makes evaluation
+/// observation-free.
 struct RunObs {
   Tracer* run_tracer = nullptr;  // non-null only at Tracer::Detail::kRuns
   int slot = 0;
@@ -358,128 +359,31 @@ void audit_run(const Application& app, const OfflineResult& off,
                            << " J");
 }
 
-/// Evaluates one already-drawn scenario into the caller's output cells:
-/// `npm_energy_out`, `degenerate_out` and the `row` of cfg.schemes.size()
-/// SchemeOutcomes. Every field of every cell is assigned unconditionally,
-/// so callers may hand in reused (stale) buffers — the pooled path stages
-/// chunks through per-slot scratch that is never cleared. Thread-safe: all
-/// shared inputs are const, distinct runs write distinct cells; policies
-/// and the workspace are caller-provided (one set per worker slot), so the
-/// loop over runs performs no heap allocation in steady state. The
-/// simulation consumes no randomness — a scenario fully determines every
-/// output bit — which is what lets the dedup layer hoist the draw out and
-/// replay cached records for repeated scenarios (DESIGN.md §15). `run` is
-/// only used to label trace spans.
-void evaluate_scenario(const Application& app, const ExperimentConfig& cfg,
-                       const OfflineResult& off, const PowerModel& pm,
-                       SimTime deadline,
-                       std::vector<std::unique_ptr<SpeedPolicy>>& policies,
-                       SpeedPolicy& npm, int run, SimWorkspace& ws,
-                       const RunScenario& sc, double& npm_energy_out,
-                       std::uint8_t& degenerate_out, SchemeOutcome* row,
-                       const RunObs& obs = {}) {
-  // Traces are only materialized when something consumes them; the
-  // verifying (test) configuration also keeps the engine's debug
-  // completeness traversal on, and audit needs per-run traces for the
-  // power-curve integral check.
-  SimOptions sim_opt;
-  sim_opt.record_trace = cfg.verify_traces || cfg.audit;
-  sim_opt.check_completeness = cfg.verify_traces;
-  sim_opt.audit = cfg.audit;
-
-  // Audit runs export into a run-local cell first, so attribution_energy
-  // sees exactly one run's ledger; the local is then merged into the
-  // slot-owned cell (integer adds — the merged totals are identical to
-  // direct accumulation).
-  SimCounters audit_cell;
-  SimCounters* const slot_npm =
-      obs.cells != nullptr ? obs.cells + cfg.schemes.size() : nullptr;
-
-  npm.reset(off, pm);
-  sim_opt.counters = cfg.audit ? &audit_cell : slot_npm;
-  const SimResult npm_r = [&] {
-    TraceSpan span(obs.run_tracer, obs.slot, "NPM", obs.point, run);
-    return simulate(app, off, pm, cfg.overheads, npm, sc, ws, sim_opt);
-  }();
-  if (cfg.audit) {
-    audit_run(app, off, pm, cfg.overheads, audit_cell, npm_r, Scheme::NPM);
-    if (slot_npm != nullptr) slot_npm->add(audit_cell);
+/// One scheme's per-run outcome from its engine result and the same run's
+/// NPM baseline energy. Built from scratch, so it may overwrite a reused
+/// staging entry; verify_failed stays false (only the observed path
+/// verifies traces). A degenerate run (zero NPM energy: no computation and
+/// zero idle power) has no normalized energy — dividing by it would poison
+/// RunningStat with NaN/Inf.
+SchemeOutcome scheme_outcome(const SimResult& r, double npm_energy,
+                             SimTime deadline) {
+  SchemeOutcome so;
+  if (npm_energy > 0.0) {
+    so.norm_energy = r.total_energy() / npm_energy;
+    so.has_norm = true;
   }
-  const double npm_energy = npm_r.total_energy();
-  // A degenerate workload (no computation and zero idle power) yields a
-  // zero NPM baseline; dividing by it would poison RunningStat with
-  // NaN/Inf, so such runs are flagged and excluded from norm_energy.
-  const bool degenerate = !(npm_energy > 0.0);
-  npm_energy_out = npm_energy;
-  degenerate_out = degenerate ? 1 : 0;
-
-  for (std::size_t s = 0; s < cfg.schemes.size(); ++s) {
-    SpeedPolicy& policy = *policies[s];
-    policy.reset(off, pm);
-    SimCounters* const slot_cell =
-        obs.cells != nullptr ? obs.cells + s : nullptr;
-    if (cfg.audit) audit_cell = SimCounters{};
-    sim_opt.counters = cfg.audit ? &audit_cell : slot_cell;
-    const SimResult r = [&] {
-      TraceSpan span(obs.run_tracer, obs.slot, to_string(cfg.schemes[s]),
-                     obs.point, run);
-      return simulate(app, off, pm, cfg.overheads, policy, sc, ws, sim_opt);
-    }();
-    if (cfg.audit) {
-      audit_run(app, off, pm, cfg.overheads, audit_cell, r, cfg.schemes[s]);
-      if (slot_cell != nullptr) slot_cell->add(audit_cell);
-    }
-    // Built from scratch and stored once: the output cell may be a reused
-    // staging entry, so no field may survive from a previous run.
-    SchemeOutcome so;
-    if (!degenerate) {
-      so.norm_energy = r.total_energy() / npm_energy;
-      so.has_norm = true;
-    }
-    so.speed_changes = static_cast<double>(r.speed_changes);
-    so.finish_frac = static_cast<double>(r.finish_time.ps) /
-                     static_cast<double>(deadline.ps);
-    const Energy total = r.total_energy();
-    if (total > 0.0) {
-      so.busy_frac = r.busy_energy / total;
-      so.overhead_frac = r.overhead_energy / total;
-      so.idle_frac = r.idle_energy / total;
-      so.has_fracs = true;
-    }
-    so.missed = !r.deadline_met;
-    if (cfg.verify_traces) {
-      const VerifyReport rep = verify_trace(app, off, sc, r);
-      so.verify_failed = !rep.ok;
-    }
-    row[s] = so;
+  so.speed_changes = static_cast<double>(r.speed_changes);
+  so.finish_frac = static_cast<double>(r.finish_time.ps) /
+                   static_cast<double>(deadline.ps);
+  const Energy total = r.total_energy();
+  if (total > 0.0) {
+    so.busy_frac = r.busy_energy / total;
+    so.overhead_frac = r.overhead_energy / total;
+    so.idle_frac = r.idle_energy / total;
+    so.has_fracs = true;
   }
-}
-
-/// Draw + evaluate of one run on its own seed-derived stream. Scenario
-/// generation goes through the precompiled `sampler` when one is given; a
-/// null sampler falls back to the legacy per-run draw_scenario walk
-/// (bit-identical by contract — run_point_unpooled stays on it as the
-/// in-tree reference).
-void evaluate_run(const Application& app, const ExperimentConfig& cfg,
-                  const OfflineResult& off, const PowerModel& pm,
-                  SimTime deadline, const ScenarioSampler* sampler,
-                  std::vector<std::unique_ptr<SpeedPolicy>>& policies,
-                  SpeedPolicy& npm, int run, SimWorkspace& ws,
-                  RunScenario& sc, double& npm_energy_out,
-                  std::uint8_t& degenerate_out, SchemeOutcome* row,
-                  const RunObs& obs = {}) {
-  Rng run_rng(Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(run)));
-  {
-    ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
-    if (sampler != nullptr) {
-      sampler->draw_into(run_rng, sc);
-    } else {
-      draw_scenario(app.graph, run_rng, sc);
-    }
-  }
-  ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
-  evaluate_scenario(app, cfg, off, pm, deadline, policies, npm, run, ws, sc,
-                    npm_energy_out, degenerate_out, row, obs);
+  so.missed = !r.deadline_met;
+  return so;
 }
 
 /// Worker-local state, one set per pool slot, reused across every chunk
@@ -493,83 +397,143 @@ void evaluate_run(const Application& app, const ExperimentConfig& cfg,
 /// are read-only, but private copies also dodge capacity fights on a
 /// busy socket and make the no-shared-state property mechanical).
 struct WorkerCtx {
-  std::vector<std::unique_ptr<SpeedPolicy>> policies;
-  std::unique_ptr<SpeedPolicy> npm;
-  SimWorkspace ws;
-  RunScenario sc;
   ChunkStage stage;
   std::vector<std::unique_ptr<ScenarioSampler>> samplers;
-  // Batched-path state (sim/batch_engine.h), sized lazily on first use.
+  // Chunk-pipeline state (sim/batch_engine.h), sized lazily on first use.
   BatchWorkspace batch_ws;
   ScenarioBatch batch_sc;
   std::vector<SimResult> batch_results;
   std::vector<SimCounters> batch_cells;  // audit/dedup: one cell per lane
-  // Dedup-path scratch (DESIGN.md §15), sized lazily on first use.
-  std::vector<std::uint64_t> key;          // one fingerprint (op_count words)
-  std::vector<SimCounters> dedup_cells;    // miss: run-local counter cells
+  // Dedup-filter scratch (DESIGN.md §15), sized lazily on first use.
+  std::vector<std::uint64_t> key;  // one fingerprint (op_count words)
   std::vector<std::pair<int, std::uint32_t>> fill;  // (stage idx, record id)
   RecordTmp rec_tmp;  // shared-store reads copy here under the lock
+  // Observed-path state (scalar engine), built on first use.
+  std::vector<std::unique_ptr<SpeedPolicy>> policies;
+  std::unique_ptr<SpeedPolicy> npm;
+  SimWorkspace ws;
+  RunScenario sc;
 
-  WorkerCtx(const ExperimentConfig& cfg, std::size_t sampler_count)
-      : samplers(sampler_count) {
-    for (Scheme s : cfg.schemes)
-      policies.push_back(make_policy(s, cfg.policy_options));
-    npm = make_policy(Scheme::NPM);
-  }
+  explicit WorkerCtx(std::size_t sampler_count) : samplers(sampler_count) {}
 };
 
-/// Lanes per batched engine call, or 0 for the scalar per-run path.
-/// The value is output-invisible (the batched engine is bit-identical to
-/// the scalar one), so auto just picks the measured sweet spot: large
-/// enough to amortize the per-batch setup (derived tables, devirtualized
-/// policy reset) over many runs, small enough that the batch's lane state
-/// stays cache-resident on one core.
-int batch_lanes_for(const ExperimentConfig& cfg) {
-  if (cfg.batch == 1) return 0;
-  // verify_traces needs the scalar engine's completeness traversal.
-  if (cfg.verify_traces) return 0;
-  if (cfg.batch > 1) return cfg.batch;
-  return 32;
-}
-
-/// Batched analogue of the per-run evaluate_run loop over one chunk:
-/// draws the chunk's scenarios into a lane-major slab (each lane from its
-/// own run's seed-derived stream) and simulates the NPM baseline plus
-/// every scheme through simulate_batch, `lanes_max` runs per engine call.
-/// Every staged value is computed by the same floating-point expression on
-/// bit-identical engine outputs as evaluate_run's, and counter export
-/// reduces to the same integer sums, so the scalar and batched chunk paths
-/// are interchangeable run for run.
-void evaluate_chunk_batched(const Application& app,
-                            const ExperimentConfig& cfg,
-                            const OfflineResult& off, const PowerModel& pm,
-                            SimTime deadline, const ScenarioSampler& sampler,
-                            int first, int count, int lanes_max,
-                            WorkerCtx& ctx, const RunObs& obs) {
+/// The per-run observed path: the scalar engine, one run at a time, for
+/// the two configurations that need per-run engine observation the
+/// batched engine cannot give — verify_traces (the engine's completeness
+/// traversal plus a verified trace per run) and a Tracer::Detail::kRuns
+/// tracer (one span per simulation). Stages exactly the values the chunk
+/// pipeline stages for the same runs.
+void evaluate_chunk_observed(const Application& app,
+                             const ExperimentConfig& cfg,
+                             const OfflineResult& off, const PowerModel& pm,
+                             SimTime deadline, const ScenarioSampler& sampler,
+                             int first, int count, WorkerCtx& ctx,
+                             const RunObs& obs) {
   const std::size_t nschemes = cfg.schemes.size();
-  SimCounters* const slot_npm =
-      obs.cells != nullptr ? obs.cells + nschemes : nullptr;
-  ctx.batch_results.resize(static_cast<std::size_t>(lanes_max));
-  for (int base = 0; base < count; base += lanes_max) {
-    const int lanes = std::min(lanes_max, count - base);
-    const auto nlanes = static_cast<std::size_t>(lanes);
-    ctx.batch_sc.ensure(nlanes, app.graph.size());
+  if (!ctx.npm) {
+    for (Scheme s : cfg.schemes)
+      ctx.policies.push_back(make_policy(s, cfg.policy_options));
+    ctx.npm = make_policy(Scheme::NPM);
+  }
+  // Traces are only materialized when something consumes them: the
+  // verifier, and audit's power-curve integral check.
+  SimOptions sim_opt;
+  sim_opt.record_trace = cfg.verify_traces || cfg.audit;
+  sim_opt.check_completeness = cfg.verify_traces;
+  sim_opt.audit = cfg.audit;
+
+  // Simulates one scheme of the drawn scenario. Audit runs export into a
+  // run-local cell first, so attribution_energy sees exactly one run's
+  // ledger; the local is then merged into the slot-owned cell (integer
+  // adds — the merged totals are identical to direct accumulation).
+  SimCounters audit_cell;
+  const auto simulate_one = [&](SpeedPolicy& policy, Scheme scheme,
+                                std::size_t cell, int run) {
+    SimCounters* const slot_cell =
+        obs.cells != nullptr ? obs.cells + cell : nullptr;
+    policy.reset(off, pm);
+    if (cfg.audit) audit_cell = SimCounters{};
+    sim_opt.counters = cfg.audit ? &audit_cell : slot_cell;
+    const SimResult r = [&] {
+      TraceSpan span(obs.run_tracer, obs.slot, to_string(scheme), obs.point,
+                     run);
+      return simulate(app, off, pm, cfg.overheads, policy, ctx.sc, ctx.ws,
+                      sim_opt);
+    }();
+    if (cfg.audit) {
+      audit_run(app, off, pm, cfg.overheads, audit_cell, r, scheme);
+      if (slot_cell != nullptr) slot_cell->add(audit_cell);
+    }
+    return r;
+  };
+
+  for (int k = 0; k < count; ++k) {
+    const int run = first + k;
+    const auto i = static_cast<std::size_t>(k);
     {
       ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
-      for (int l = 0; l < lanes; ++l) {
-        Rng run_rng(Rng::stream_seed(
-            cfg.seed, static_cast<std::uint64_t>(first + base + l)));
-        sampler.draw_into(run_rng, ctx.batch_sc,
-                          static_cast<std::size_t>(l));
-      }
+      Rng run_rng(Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(run)));
+      sampler.draw_into(run_rng, ctx.sc);
     }
+    ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
+    const double npm_energy =
+        simulate_one(*ctx.npm, Scheme::NPM, nschemes, run).total_energy();
+    ctx.stage.npm_energy[i] = npm_energy;
+    ctx.stage.degenerate[i] = !(npm_energy > 0.0) ? 1 : 0;
+    for (std::size_t s = 0; s < nschemes; ++s) {
+      const SimResult r =
+          simulate_one(*ctx.policies[s], cfg.schemes[s], s, run);
+      SchemeOutcome so = scheme_outcome(r, npm_energy, deadline);
+      if (cfg.verify_traces)
+        so.verify_failed = !verify_trace(app, off, ctx.sc, r).ok;
+      ctx.stage.schemes[i * nschemes + s] = so;
+    }
+  }
+}
 
-    // One scheme after another over the same scenario slab, the NPM
-    // baseline first (its energies normalize the others). Audit mode
-    // exports each lane into its own cell so attribution_energy sees one
-    // run's ledger, exactly like the scalar path's run-local cell.
-    const auto run_scheme = [&](Scheme scheme, SimCounters* slot_cell) {
+/// The chunk pipeline of every configuration without per-run observation:
+/// sample a lane group from the slot's sampler, simulate the NPM baseline
+/// plus every scheme over it with simulate_batch (`lanes_max` lanes per
+/// engine call), and stage the rows. With a `shard`, the dedup filter
+/// (DESIGN.md §15) sits in front of the engine: each draw also emits its
+/// fingerprint, a repeated scenario is queued for replay, a record another
+/// slot already published is adopted, and only a first encounter takes a
+/// lane — duplicates never reach the engine. The group's rows then land in
+/// the shard's record arena, and every queued run is replayed from there
+/// into the stage. Either way the staged values and integer counter sums
+/// are exactly what simulating every run would produce.
+void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
+                    const OfflineResult& off, const PowerModel& pm,
+                    SimTime deadline, const ScenarioSampler& sampler,
+                    int first, int count, int lanes_max, WorkerCtx& ctx,
+                    const RunObs& obs, OutcomeShard* shard,
+                    SharedOutcomes* shared) {
+  const std::size_t nschemes = cfg.schemes.size();
+  const std::size_t ncells = nschemes + 1;
+  const bool metrics = obs.cells != nullptr;
+  // Per-lane counter cells: audit checks each run's ledger alone, and a
+  // dedup record caches exactly one run's counters, so replay adds
+  // per-run quantities.
+  const bool lane_cells = cfg.audit || (shard != nullptr && metrics);
+  // A group never holds more lanes than the chunk has runs.
+  const auto group_max = static_cast<std::size_t>(std::min(lanes_max, count));
+  if (ctx.batch_results.size() < group_max)
+    ctx.batch_results.resize(group_max);
+  ctx.batch_sc.ensure(group_max, app.graph.size());
+  if (shard != nullptr) ctx.key.resize(sampler.op_count());
+  const std::uint64_t miss0 = shard != nullptr ? shard->misses : 0;
+
+  // Simulates lanes [0, nlanes) — the NPM baseline first (its energies
+  // normalize the others), then every scheme — and writes lane l's record
+  // to npm_out[l], degenerate_out[l], rows_out[l * nschemes + s] and, when
+  // rec_cells is set, its counters to rec_cells[l * ncells + cell].
+  const auto simulate_group = [&](std::size_t nlanes, double* npm_out,
+                                  std::uint8_t* degenerate_out,
+                                  SchemeOutcome* rows_out,
+                                  SimCounters* rec_cells) {
+    const auto run_scheme = [&](Scheme scheme, std::size_t cell) {
       ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
+      SimCounters* const slot_cell = metrics ? obs.cells + cell : nullptr;
       BatchSimOptions bo;
       bo.record_trace = cfg.audit;
       bo.audit = cfg.audit;
@@ -577,255 +541,114 @@ void evaluate_chunk_batched(const Application& app,
       bo.ph_setup = obs.ph_batch_setup;
       bo.ph_drain = obs.ph_batch_drain;
       bo.slot = obs.slot;
-      if (cfg.audit) {
+      if (lane_cells) {
         ctx.batch_cells.assign(nlanes, SimCounters{});
         bo.lane_cells = ctx.batch_cells.data();
       } else {
         bo.shared_cell = slot_cell;
       }
-      simulate_batch(app, off, pm, cfg.overheads, scheme,
-                     cfg.policy_options, ctx.batch_sc, nlanes, ctx.batch_ws,
+      simulate_batch(app, off, pm, cfg.overheads, scheme, cfg.policy_options,
+                     ctx.batch_sc, nlanes, ctx.batch_ws,
                      ctx.batch_results.data(), bo);
-      if (cfg.audit) {
-        for (std::size_t l = 0; l < nlanes; ++l) {
+      if (!lane_cells) return;
+      for (std::size_t l = 0; l < nlanes; ++l) {
+        if (cfg.audit)
           audit_run(app, off, pm, cfg.overheads, ctx.batch_cells[l],
                     ctx.batch_results[l], scheme);
-          if (slot_cell != nullptr) slot_cell->add(ctx.batch_cells[l]);
-        }
+        if (rec_cells != nullptr)
+          rec_cells[l * ncells + cell] = ctx.batch_cells[l];
+        else if (slot_cell != nullptr)
+          slot_cell->add(ctx.batch_cells[l]);
       }
     };
 
-    run_scheme(Scheme::NPM, slot_npm);
-    for (int l = 0; l < lanes; ++l) {
-      const auto i = static_cast<std::size_t>(base + l);
-      const double npm_energy =
-          ctx.batch_results[static_cast<std::size_t>(l)].total_energy();
-      ctx.stage.npm_energy[i] = npm_energy;
-      ctx.stage.degenerate[i] = !(npm_energy > 0.0) ? 1 : 0;
+    run_scheme(Scheme::NPM, nschemes);
+    for (std::size_t l = 0; l < nlanes; ++l) {
+      const double npm_energy = ctx.batch_results[l].total_energy();
+      npm_out[l] = npm_energy;
+      degenerate_out[l] = !(npm_energy > 0.0) ? 1 : 0;
     }
-
     for (std::size_t s = 0; s < nschemes; ++s) {
-      run_scheme(cfg.schemes[s],
-                 obs.cells != nullptr ? obs.cells + s : nullptr);
-      for (int l = 0; l < lanes; ++l) {
-        const auto i = static_cast<std::size_t>(base + l);
-        const SimResult& r = ctx.batch_results[static_cast<std::size_t>(l)];
-        SchemeOutcome so;
-        if (!ctx.stage.degenerate[i]) {
-          so.norm_energy = r.total_energy() / ctx.stage.npm_energy[i];
-          so.has_norm = true;
-        }
-        so.speed_changes = static_cast<double>(r.speed_changes);
-        so.finish_frac = static_cast<double>(r.finish_time.ps) /
-                         static_cast<double>(deadline.ps);
-        const Energy total = r.total_energy();
-        if (total > 0.0) {
-          so.busy_frac = r.busy_energy / total;
-          so.overhead_frac = r.overhead_energy / total;
-          so.idle_frac = r.idle_energy / total;
-          so.has_fracs = true;
-        }
-        so.missed = !r.deadline_met;
-        ctx.stage.schemes[i * nschemes + s] = so;
-      }
+      run_scheme(cfg.schemes[s], s);
+      for (std::size_t l = 0; l < nlanes; ++l)
+        rows_out[l * nschemes + s] =
+            scheme_outcome(ctx.batch_results[l], npm_out[l], deadline);
     }
-  }
-}
-
-/// Scalar dedup chunk path: draws each run's scenario together with its
-/// fingerprint, simulates only first encounters and replays the cached
-/// record for every duplicate. Stage rows and slot cells end up with
-/// exactly the values the plain scalar loop writes (DESIGN.md §15).
-void evaluate_chunk_dedup_scalar(
-    const Application& app, const ExperimentConfig& cfg,
-    const OfflineResult& off, const PowerModel& pm, SimTime deadline,
-    const ScenarioSampler& sampler, int first, int count, WorkerCtx& ctx,
-    const RunObs& obs, OutcomeShard& shard, SharedOutcomes* shared) {
-  const std::size_t nschemes = cfg.schemes.size();
-  const std::size_t ncells = nschemes + 1;
-  const bool metrics = obs.cells != nullptr;
-  ctx.key.resize(sampler.op_count());
-  if (metrics) ctx.dedup_cells.resize(ncells);
-  for (int k = 0; k < count; ++k) {
-    const int run = first + k;
-    const auto i = static_cast<std::size_t>(k);
-    Rng run_rng(Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(run)));
-    {
-      ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
-      sampler.draw_into(run_rng, ctx.sc, ctx.key.data());
-    }
-    bool inserted = false;
-    const std::uint32_t id = shard.table.intern(ctx.key.data(), inserted);
-    if (inserted) {
-      if (shared != nullptr &&
-          shared->find_copy(ctx.key.data(), nschemes, ncells, metrics,
-                            ctx.rec_tmp)) {
-        // Another slot already simulated this scenario: adopt its record
-        // (id == record_count(), so the append keeps id-major alignment).
-        append_record(shard, ctx.rec_tmp, metrics);
-      } else {
-        // First encounter anywhere: simulate straight into the stage row,
-        // capturing the run's counters in run-local cells so the record
-        // caches exactly one run's worth.
-        ++shard.misses;
-        RunObs miss_obs = obs;
-        if (metrics) {
-          std::fill(ctx.dedup_cells.begin(), ctx.dedup_cells.end(),
-                    SimCounters{});
-          miss_obs.cells = ctx.dedup_cells.data();
-        }
-        {
-          ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
-          evaluate_scenario(app, cfg, off, pm, deadline, ctx.policies,
-                            *ctx.npm, run, ctx.ws, ctx.sc,
-                            ctx.stage.npm_energy[i], ctx.stage.degenerate[i],
-                            ctx.stage.schemes.data() + i * nschemes,
-                            miss_obs);
-        }
-        if (metrics)
-          for (std::size_t c = 0; c < ncells; ++c)
-            obs.cells[c].add(ctx.dedup_cells[c]);
-        append_record_from_stage(shard, ctx.stage, i, nschemes,
-                                 metrics ? ctx.dedup_cells.data() : nullptr,
-                                 ncells);
-        if (shared != nullptr) shard.pending.push_back(id);
-        continue;  // this run's stage row and cells are already written
-      }
-    }
-    ++shard.hits;
-    replay_record(shard, id, ctx.stage, i, nschemes, obs.cells, ncells);
-  }
-  if (shared != nullptr) shared->publish(shard, nschemes, ncells, metrics);
-}
-
-/// Batched dedup chunk path: dedup happens *before* lane packing, so only
-/// first-encounter scenarios occupy engine lanes — duplicates never reach
-/// the batched engine at all. Runs are recorded as (stage index, record id)
-/// pairs and replayed when their flush group materializes, which keeps the
-/// stage bit-identical to the non-dedup batched path (same engine, same
-/// floating-point expressions, same integer counter sums).
-void evaluate_chunk_dedup_batched(
-    const Application& app, const ExperimentConfig& cfg,
-    const OfflineResult& off, const PowerModel& pm, SimTime deadline,
-    const ScenarioSampler& sampler, int first, int count, int lanes_max,
-    WorkerCtx& ctx, const RunObs& obs, OutcomeShard& shard,
-    SharedOutcomes* shared) {
-  const std::size_t nschemes = cfg.schemes.size();
-  const std::size_t ncells = nschemes + 1;
-  const bool metrics = obs.cells != nullptr;
-  const std::uint64_t miss0 = shard.misses;
-  ctx.key.resize(sampler.op_count());
-  ctx.batch_results.resize(static_cast<std::size_t>(lanes_max));
-  ctx.batch_sc.ensure(static_cast<std::size_t>(lanes_max), app.graph.size());
-  ctx.fill.clear();
-  int cur = 0;  // pending lanes in the current flush group
-
-  // Simulates the group's `cur` pending lanes (NPM baseline first, then
-  // every scheme), appends their records in lane order — lane l's record
-  // id is record_count() + l, because intern assigned the group's ids
-  // densely in lane order — then replays every (run, id) pair staged so
-  // far. The record rows are built by the same floating-point expressions
-  // as evaluate_chunk_batched's, on bit-identical engine outputs.
-  const auto flush_group = [&] {
-    if (cur > 0) {
-      const auto nlanes = static_cast<std::size_t>(cur);
-      const std::size_t base = shard.npm_energy.size();
-      shard.npm_energy.resize(base + nlanes);
-      shard.degenerate.resize(base + nlanes);
-      shard.rows.resize((base + nlanes) * nschemes);
-      if (metrics) shard.cells.resize((base + nlanes) * ncells);
-
-      const auto run_scheme = [&](Scheme scheme) {
-        ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
-        BatchSimOptions bo;
-        bo.prof = obs.prof;
-        bo.ph_setup = obs.ph_batch_setup;
-        bo.ph_drain = obs.ph_batch_drain;
-        bo.slot = obs.slot;
-        if (metrics) {
-          // Per-lane cells: each record must cache exactly one run's
-          // counters (and ledger), so replay adds per-run quantities.
-          ctx.batch_cells.assign(nlanes, SimCounters{});
-          bo.lane_cells = ctx.batch_cells.data();
-        }
-        simulate_batch(app, off, pm, cfg.overheads, scheme,
-                       cfg.policy_options, ctx.batch_sc, nlanes,
-                       ctx.batch_ws, ctx.batch_results.data(), bo);
-      };
-
-      run_scheme(Scheme::NPM);
-      for (std::size_t l = 0; l < nlanes; ++l) {
-        const double npm_energy = ctx.batch_results[l].total_energy();
-        shard.npm_energy[base + l] = npm_energy;
-        shard.degenerate[base + l] = !(npm_energy > 0.0) ? 1 : 0;
-        if (metrics)
-          shard.cells[(base + l) * ncells + nschemes] = ctx.batch_cells[l];
-      }
-      for (std::size_t s = 0; s < nschemes; ++s) {
-        run_scheme(cfg.schemes[s]);
-        for (std::size_t l = 0; l < nlanes; ++l) {
-          const SimResult& r = ctx.batch_results[l];
-          SchemeOutcome so;
-          if (!shard.degenerate[base + l]) {
-            so.norm_energy = r.total_energy() / shard.npm_energy[base + l];
-            so.has_norm = true;
-          }
-          so.speed_changes = static_cast<double>(r.speed_changes);
-          so.finish_frac = static_cast<double>(r.finish_time.ps) /
-                           static_cast<double>(deadline.ps);
-          const Energy total = r.total_energy();
-          if (total > 0.0) {
-            so.busy_frac = r.busy_energy / total;
-            so.overhead_frac = r.overhead_energy / total;
-            so.idle_frac = r.idle_energy / total;
-            so.has_fracs = true;
-          }
-          so.missed = !r.deadline_met;
-          shard.rows[(base + l) * nschemes + s] = so;
-          if (metrics) shard.cells[(base + l) * ncells + s] = ctx.batch_cells[l];
-        }
-      }
-      if (shared != nullptr)
-        for (std::size_t l = 0; l < nlanes; ++l)
-          shard.pending.push_back(static_cast<std::uint32_t>(base + l));
-      shard.misses += nlanes;
-      cur = 0;
-    }
-    for (const auto& [idx, id] : ctx.fill)
-      replay_record(shard, id, ctx.stage, static_cast<std::size_t>(idx),
-                    nschemes, obs.cells, ncells);
-    ctx.fill.clear();
   };
 
-  for (int k = 0; k < count; ++k) {
-    if (cur == lanes_max) flush_group();
-    const int run = first + k;
-    Rng run_rng(Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(run)));
+  int k = 0;
+  while (k < count) {
+    const int group_first = k;
+    int lanes = 0;
+    // A first encounter whose record another slot already published: the
+    // adoption waits until the open group is simulated, because its record
+    // id comes after the group's dense lane ids.
+    int adopt_run = -1;
+    std::uint32_t adopt_id = 0;
     {
       ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
-      sampler.draw_into(run_rng, ctx.batch_sc, static_cast<std::size_t>(cur),
-                        ctx.key.data());
-    }
-    bool inserted = false;
-    const std::uint32_t id = shard.table.intern(ctx.key.data(), inserted);
-    if (inserted) {
-      if (shared != nullptr &&
-          shared->find_copy(ctx.key.data(), nschemes, ncells, metrics,
-                            ctx.rec_tmp)) {
-        // Adopting a shared record mid-group would slot its id between
-        // the group's pending lane ids; materialize the group first so
-        // the append lands exactly at id (dense order restored).
-        flush_group();
-        append_record(shard, ctx.rec_tmp, metrics);
-      } else {
-        ++cur;  // lane `cur` holds this scenario until the group flushes
+      for (; k < count && lanes < lanes_max; ++k) {
+        Rng run_rng(Rng::stream_seed(
+            cfg.seed, static_cast<std::uint64_t>(first + k)));
+        const auto lane = static_cast<std::size_t>(lanes);
+        if (shard == nullptr) {
+          sampler.draw_into(run_rng, ctx.batch_sc, lane);
+          ++lanes;
+          continue;
+        }
+        sampler.draw_into(run_rng, ctx.batch_sc, lane, ctx.key.data());
+        bool inserted = false;
+        const std::uint32_t id = shard->table.intern(ctx.key.data(), inserted);
+        if (inserted && shared != nullptr &&
+            shared->find_copy(ctx.key.data(), nschemes, ncells, metrics,
+                              ctx.rec_tmp)) {
+          adopt_run = k++;
+          adopt_id = id;
+          break;
+        }
+        ctx.fill.emplace_back(k, id);
+        if (inserted) ++lanes;  // the lane keeps it until the group runs
       }
     }
-    ctx.fill.emplace_back(k, id);
+    const auto nlanes = static_cast<std::size_t>(lanes);
+    if (shard == nullptr) {
+      const auto g = static_cast<std::size_t>(group_first);
+      simulate_group(nlanes, ctx.stage.npm_energy.data() + g,
+                     ctx.stage.degenerate.data() + g,
+                     ctx.stage.schemes.data() + g * nschemes, nullptr);
+      continue;
+    }
+    if (nlanes > 0) {
+      // intern assigned the group's ids densely in lane order, so lane l's
+      // record id is base + l.
+      const std::size_t base = shard->record_count();
+      shard->npm_energy.resize(base + nlanes);
+      shard->degenerate.resize(base + nlanes);
+      shard->rows.resize((base + nlanes) * nschemes);
+      if (metrics) shard->cells.resize((base + nlanes) * ncells);
+      simulate_group(nlanes, shard->npm_energy.data() + base,
+                     shard->degenerate.data() + base,
+                     shard->rows.data() + base * nschemes,
+                     metrics ? shard->cells.data() + base * ncells : nullptr);
+      if (shared != nullptr)
+        for (std::size_t l = 0; l < nlanes; ++l)
+          shard->pending.push_back(static_cast<std::uint32_t>(base + l));
+      shard->misses += nlanes;
+    }
+    for (const auto& [idx, id] : ctx.fill)
+      replay_record(*shard, id, ctx.stage, static_cast<std::size_t>(idx),
+                    nschemes, obs.cells, ncells);
+    ctx.fill.clear();
+    if (adopt_run >= 0) {
+      append_record(*shard, ctx.rec_tmp, metrics);
+      replay_record(*shard, adopt_id, ctx.stage,
+                    static_cast<std::size_t>(adopt_run), nschemes, obs.cells,
+                    ncells);
+    }
   }
-  flush_group();
-  shard.hits += static_cast<std::uint64_t>(count) - (shard.misses - miss0);
-  if (shared != nullptr) shared->publish(shard, nschemes, ncells, metrics);
+  if (shard == nullptr) return;
+  shard->hits += static_cast<std::uint64_t>(count) - (shard->misses - miss0);
+  if (shared != nullptr) shared->publish(*shard, nschemes, ncells, metrics);
 }
 
 /// One prepared sweep point: the (application, offline result, deadline)
@@ -1110,7 +933,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
 
   const auto body = [&](int c, int slot) {
     auto& ctx = ctxs[static_cast<std::size_t>(slot)];
-    if (!ctx) ctx = std::make_unique<WorkerCtx>(cfg, samplers.size());
+    if (!ctx) ctx = std::make_unique<WorkerCtx>(samplers.size());
     const int p = c / chunks_per_point;
     const int first = (c % chunks_per_point) * chunk;
     const int last = std::min(runs, first + chunk);
@@ -1133,47 +956,27 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
       ctx->samplers[sidx] = std::make_unique<ScenarioSampler>(*samplers[sidx]);
     // Evaluate the whole chunk into slot-private staging, then flush it
     // into the shared run-major store with one bulk copy per array: the
-    // per-run loop touches no shared mutable memory at all. The batched
-    // and scalar chunk paths stage bit-identical values (the engines are
-    // interchangeable run for run); per-run tracer spans exist only on
-    // the scalar path, so kRuns detail keeps it.
+    // per-run loop touches no shared mutable memory at all.
     ctx->stage.ensure(chunk, nschemes);
-    if (spec_dedup[static_cast<std::size_t>(p)] != 0) {
-      // Dedup path (dedup_for already excludes every configuration that
-      // needs per-run engine work, including a kRuns tracer). The shard is
-      // created by the owning slot's own thread, like the rest of its
-      // worker-local state.
-      auto& shard = shards[static_cast<std::size_t>(p) * nslots +
-                           static_cast<std::size_t>(slot)];
-      if (!shard)
-        shard = std::make_unique<OutcomeShard>(ctx->samplers[sidx]->op_count());
-      SharedOutcomes* const shared =
-          shared_stores.empty()
-              ? nullptr
-              : shared_stores[static_cast<std::size_t>(p)].get();
-      if (batch_lanes > 0) {
-        evaluate_chunk_dedup_batched(*spec.app, cfg, *spec.off, pm,
-                                     spec.deadline, *ctx->samplers[sidx],
-                                     first, count, batch_lanes, *ctx, obs,
-                                     *shard, shared);
-      } else {
-        evaluate_chunk_dedup_scalar(*spec.app, cfg, *spec.off, pm,
-                                    spec.deadline, *ctx->samplers[sidx],
-                                    first, count, *ctx, obs, *shard, shared);
-      }
-    } else if (batch_lanes > 0 && run_tracer == nullptr) {
-      evaluate_chunk_batched(*spec.app, cfg, *spec.off, pm, spec.deadline,
-                             *ctx->samplers[sidx], first, count, batch_lanes,
-                             *ctx, obs);
+    const ScenarioSampler& sampler = *ctx->samplers[sidx];
+    if (batch_lanes == 0) {
+      evaluate_chunk_observed(*spec.app, cfg, *spec.off, pm, spec.deadline,
+                              sampler, first, count, *ctx, obs);
     } else {
-      for (int run = first; run < last; ++run) {
-        const auto i = static_cast<std::size_t>(run - first);
-        evaluate_run(*spec.app, cfg, *spec.off, pm, spec.deadline,
-                     ctx->samplers[sidx].get(), ctx->policies, *ctx->npm,
-                     run, ctx->ws, ctx->sc, ctx->stage.npm_energy[i],
-                     ctx->stage.degenerate[i],
-                     ctx->stage.schemes.data() + i * nschemes, obs);
+      // The dedup filter's shard is created by the owning slot's own
+      // thread, like the rest of its worker-local state.
+      OutcomeShard* shard = nullptr;
+      SharedOutcomes* shared = nullptr;
+      if (spec_dedup[static_cast<std::size_t>(p)] != 0) {
+        auto& sh = shards[static_cast<std::size_t>(p) * nslots +
+                          static_cast<std::size_t>(slot)];
+        if (!sh) sh = std::make_unique<OutcomeShard>(sampler.op_count());
+        shard = sh.get();
+        if (!shared_stores.empty())
+          shared = shared_stores[static_cast<std::size_t>(p)].get();
       }
+      evaluate_chunk(*spec.app, cfg, *spec.off, pm, spec.deadline, sampler,
+                     first, count, batch_lanes, *ctx, obs, shard, shared);
     }
     {
       ProfScope ps(obs.prof, obs.ph_flush, slot);
@@ -1345,58 +1148,6 @@ SweepPoint run_point(const Application& app, const ExperimentConfig& cfg,
   return run_point_specs({&spec, 1}, cfg).front();
 }
 
-SweepPoint run_point_unpooled(const Application& app,
-                              const ExperimentConfig& cfg, SimTime deadline,
-                              double x_value) {
-  validate_config(cfg);
-  PASERTA_REQUIRE(deadline > SimTime::zero(), "deadline must be positive");
-
-  const PowerModel pm(cfg.table, cfg.c_ef, cfg.idle_fraction);
-  OfflineOptions opt;
-  opt.cpus = cfg.cpus;
-  opt.deadline = deadline;
-  opt.overhead_budget = cfg.overheads.worst_case_budget(cfg.table);
-  opt.heuristic = cfg.heuristic;
-  const OfflineResult off = analyze_offline(app, opt);
-
-  PointOutcomes outcomes(cfg.runs, cfg.schemes.size());
-
-  const std::size_t nschemes = cfg.schemes.size();
-  auto worker = [&](int first, int step) {
-    WorkerCtx ctx(cfg, /*sampler_count=*/0);
-    // nullptr sampler: the baseline keeps the legacy per-run
-    // draw_scenario walk, so it doubles as the sampler's bit-identity
-    // reference (tests compare it against the pooled path). Outcomes are
-    // written straight into the shared run-major store — the strided,
-    // false-sharing-prone layout is part of the pre-pool behaviour this
-    // baseline preserves.
-    for (int run = first; run < cfg.runs; run += step) {
-      const auto r = static_cast<std::size_t>(run);
-      evaluate_run(app, cfg, off, pm, deadline, /*sampler=*/nullptr,
-                   ctx.policies, *ctx.npm, run, ctx.ws, ctx.sc,
-                   outcomes.npm_energy[r], outcomes.degenerate[r],
-                   outcomes.schemes.data() + r * nschemes);
-    }
-  };
-
-  const int threads = std::min(cfg.threads, cfg.runs);
-  if (threads <= 1) {
-    worker(0, 1);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t, threads);
-    for (auto& th : pool) th.join();
-  }
-
-  PointSpec spec;
-  spec.app = &app;
-  spec.off = &off;
-  spec.deadline = deadline;
-  spec.x = x_value;
-  return finalize_point(cfg, spec, outcomes);
-}
-
 std::vector<SweepPoint> sweep_load(const Application& app,
                                    const ExperimentConfig& cfg,
                                    const std::vector<double>& loads) {
@@ -1440,12 +1191,7 @@ std::vector<SweepPoint> sweep_load(const Application& app,
     specs.push_back(spec);
   }
 
-  if (cfg.parallel_points) return run_point_specs(specs, cfg);
-  std::vector<SweepPoint> points;
-  points.reserve(specs.size());
-  for (const PointSpec& spec : specs)
-    points.push_back(run_point_specs({&spec, 1}, cfg).front());
-  return points;
+  return run_point_specs(specs, cfg);
 }
 
 std::vector<SweepPoint> sweep_alpha(const Application& app,

@@ -78,17 +78,13 @@ struct ExperimentConfig {
   /// identical results; smaller chunks balance better, larger chunks touch
   /// the shared counter less.
   int chunk_runs = 0;
-  /// Overlap independent sweep points on the worker pool (sweep_load).
-  /// Off = points evaluated one after another (each still run-parallel).
-  /// Either way the output is identical; this is purely a scheduling knob.
-  bool parallel_points = true;
   /// Scenarios simulated in lockstep per engine call (sim/batch_engine.h):
-  /// 0 = auto, 1 = force the scalar per-run engine, N >= 2 = N lanes.
-  /// Purely a scheduling knob: the batched engine is bit-identical to the
-  /// scalar one run-for-run, so every output (energies, counters, CSV) is
-  /// the same for every value. Configurations that need engine facilities
-  /// only the scalar path has (verify_traces' completeness traversal,
-  /// per-run tracer spans) fall back to scalar regardless.
+  /// 0 = auto (32), N >= 1 = N lanes. Purely a scheduling knob: the
+  /// batched engine is bit-identical to the scalar one run-for-run at
+  /// every width, so every output (energies, counters, CSV) is the same
+  /// for every value. Configurations that observe the engine per run
+  /// (verify_traces' completeness traversal, per-run tracer spans) take
+  /// the scalar per-run path regardless.
   int batch = 0;
   /// Scenario-dedup outcome memoization (see DedupMode). Configurations
   /// that need genuinely per-run engine work — verify_traces, audit's
@@ -198,10 +194,10 @@ struct SweepPoint {
   const SchemeStats& of(Scheme s) const;
 };
 
-/// Lanes per batched engine call that `config` resolves to, 0 = the scalar
-/// per-run path (config.batch == 1, or a configuration that needs scalar-
-/// only engine facilities). run_point's workers use exactly this rule;
-/// exposed so benches and tests can label measurements with it.
+/// Lanes per batched engine call that `config` resolves to, or 0 for the
+/// scalar per-run observed path (verify_traces or a Tracer::Detail::kRuns
+/// tracer). run_point's workers use exactly this rule; exposed so benches
+/// and tests can label measurements with it.
 int resolved_batch_lanes(const ExperimentConfig& config);
 
 /// Whether `config` resolves to scenario-dedup memoization for a workload
@@ -221,21 +217,9 @@ SweepPoint run_point(const Application& app, const ExperimentConfig& config,
                      SimTime deadline, double x_value,
                      OfflineCache* cache = nullptr);
 
-/// The pre-pool implementation: spawns and joins a fresh strided
-/// std::thread set, runs its own offline analysis, and draws scenarios
-/// through the legacy per-run draw_scenario walk (not the precompiled
-/// ScenarioSampler). Kept as the benchmark baseline for the pooled path
-/// (harness/throughput.cpp) and as a cross-check in tests — output is
-/// bit-identical to run_point, which also pins the sampler against the
-/// legacy scenario path.
-SweepPoint run_point_unpooled(const Application& app,
-                              const ExperimentConfig& config,
-                              SimTime deadline, double x_value);
-
 /// Load sweep: deadline = W / load for each load in `loads` (0 < load <= 1).
 /// Performs exactly one canonical offline analysis (shared across points
-/// via OfflineCache) and, with config.parallel_points, overlaps the points
-/// on the worker pool.
+/// via OfflineCache) and overlaps the points on the worker pool.
 std::vector<SweepPoint> sweep_load(const Application& app,
                                    const ExperimentConfig& config,
                                    const std::vector<double>& loads);

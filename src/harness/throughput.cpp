@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 #include <thread>
 
 #include "common/error.h"
-#include "core/offline.h"
 #include "harness/json.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -44,21 +42,6 @@ void profile_section(double runs, HwColumns& hw, Fn&& body) {
   hw.cycles_per_run = static_cast<double>(snap.front().cycles) / runs;
   hw.ipc = static_cast<double>(snap.front().instructions) /
            static_cast<double>(snap.front().cycles);
-}
-
-/// The pre-pool sweep shape: one shared worst-case makespan, then one
-/// run_point_unpooled per load — fresh thread spawn/join and a fresh
-/// offline analysis for every point.
-void legacy_sweep_load(const Application& app, const ExperimentConfig& cfg,
-                       const std::vector<double>& loads) {
-  const SimTime w = canonical_worst_makespan(
-      app, cfg.cpus, cfg.overheads.worst_case_budget(cfg.table),
-      cfg.heuristic);
-  for (double load : loads) {
-    const SimTime deadline{static_cast<std::int64_t>(
-        std::ceil(static_cast<double>(w.ps) / load))};
-    (void)run_point_unpooled(app, cfg, deadline, load);
-  }
 }
 
 }  // namespace
@@ -306,9 +289,8 @@ SweepThroughputReport measure_sweep_throughput(
   report.schemes = static_cast<int>(cfg.schemes.size());
   report.host_threads =
       static_cast<int>(std::thread::hardware_concurrency());
-  cfg.parallel_points = true;
 
-  // Untimed warm-up of the pooled path (faults in the pool's threads too).
+  // Untimed warm-up (faults in the pool's threads too).
   cfg.threads = thread_counts.front();
   (void)sweep_load(app, cfg, loads);
 
@@ -317,26 +299,16 @@ SweepThroughputReport measure_sweep_throughput(
     SweepThroughputSample s;
     s.threads = threads;
 
-    // Best of `reps` per path, as in measure_throughput.
+    // Best of `reps`, as in measure_throughput.
     s.pooled_seconds = std::numeric_limits<double>::infinity();
-    s.legacy_seconds = std::numeric_limits<double>::infinity();
     for (int r = 0; r < reps; ++r) {
-      auto t0 = clock_type::now();
+      const auto t0 = clock_type::now();
       (void)sweep_load(app, cfg, loads);
       s.pooled_seconds = std::min(s.pooled_seconds, seconds_since(t0));
-
-      t0 = clock_type::now();
-      legacy_sweep_load(app, cfg, loads);
-      s.legacy_seconds = std::min(s.legacy_seconds, seconds_since(t0));
     }
-
     const auto pts = static_cast<double>(loads.size());
     s.pooled_points_per_sec =
         s.pooled_seconds > 0.0 ? pts / s.pooled_seconds : 0.0;
-    s.legacy_points_per_sec =
-        s.legacy_seconds > 0.0 ? pts / s.legacy_seconds : 0.0;
-    s.speedup =
-        s.pooled_seconds > 0.0 ? s.legacy_seconds / s.pooled_seconds : 0.0;
     report.samples.push_back(s);
   }
 
@@ -377,9 +349,6 @@ std::string sweep_throughput_to_json(const SweepThroughputReport& report) {
         .key("threads").value(s.threads)
         .key("pooled_seconds").value(s.pooled_seconds)
         .key("pooled_points_per_sec").value(s.pooled_points_per_sec)
-        .key("legacy_seconds").value(s.legacy_seconds)
-        .key("legacy_points_per_sec").value(s.legacy_points_per_sec)
-        .key("speedup").value(s.speedup)
         .key("efficiency").value(s.efficiency)
         .end_object();
     w.raw(item.str());
@@ -396,7 +365,6 @@ std::string measure_pool_balance_json(const Application& app,
   MetricsRegistry reg;  // scoped: the measurement cannot bleed elsewhere
   cfg.collect_metrics = true;
   cfg.registry = &reg;
-  cfg.parallel_points = true;
   (void)sweep_load(app, cfg, loads);
   const MetricsSnapshot snap = reg.snapshot();
 

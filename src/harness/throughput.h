@@ -2,15 +2,12 @@
 //
 // Point mode times run_point on a fixed configuration across a list of
 // thread counts and reports runs/sec. Sweep mode times a whole load sweep
-// (the paper's §5.1 shape) two ways per thread count — the pooled,
-// point-overlapped, canonical-cached path (sweep_load) against the pre-pool
-// baseline (run_point_unpooled per point: fresh thread spawn/join and a
-// fresh offline analysis each) — and reports points/sec, the speedup of the
-// pooled path over the baseline, and scaling efficiency across thread
-// counts. Both are emitted as small self-contained JSON documents. Lives in
-// the library — rather than inlined in the bench binary — so the timing
-// plumbing and the JSON shape are unit-testable; bench_throughput is a thin
-// wrapper over this module.
+// (the paper's §5.1 shape) per thread count through sweep_load and reports
+// points/sec and scaling efficiency across thread counts. Both are emitted
+// as small self-contained JSON documents. Lives in the library — rather
+// than inlined in the bench binary — so the timing plumbing and the JSON
+// shape are unit-testable; bench_throughput is a thin wrapper over this
+// module.
 #pragma once
 
 #include <limits>
@@ -65,7 +62,7 @@ std::string throughput_to_json(const ThroughputReport& report);
 
 struct BatchThroughputSample {
   int batch = 0;              // requested ExperimentConfig::batch (0 = auto)
-  int lanes = 0;              // lanes per engine call it resolved to (0 = scalar)
+  int lanes = 0;              // lanes per engine call it resolved to
   double seconds = 0.0;       // wall time of the timed run_point call
   double runs_per_sec = 0.0;  // runs / seconds
 };
@@ -81,10 +78,10 @@ struct BatchThroughputReport {
 
 /// Times run_point once per entry of `batches` (cfg.batch is overridden;
 /// cfg.threads is forced to 1 so the section isolates the engine choice
-/// from thread scaling), after one untimed warm-up. Batched and scalar
-/// run_point outputs are bit-identical, so the section measures pure
-/// scheduling overhead differences: the batched-vs-scalar speedup gated by
-/// tools/bench_compare --check. `reps` keeps the fastest repetition (see
+/// from thread scaling), after one untimed warm-up. run_point outputs are
+/// bit-identical at every lane count, so the section measures pure
+/// scheduling overhead differences: the auto-over-one-lane speedup gated
+/// by tools/bench_compare --check. `reps` keeps the fastest repetition (see
 /// measure_throughput).
 BatchThroughputReport measure_batch_throughput(const Application& app,
                                                ExperimentConfig cfg,
@@ -140,17 +137,10 @@ std::string dedup_throughput_to_json(const DedupThroughputReport& report);
 
 struct SweepThroughputSample {
   int threads = 1;
-  // Pooled path: sweep_load (persistent pool, chunked claiming, point
-  // overlap, one canonical analysis for the whole sweep).
+  // sweep_load (persistent pool, chunked claiming, point overlap, one
+  // canonical analysis for the whole sweep).
   double pooled_seconds = 0.0;
   double pooled_points_per_sec = 0.0;
-  // Baseline path: serial points, run_point_unpooled each (fresh
-  // std::thread spawn/join and a fresh offline analysis per point) — the
-  // pre-pool behaviour of the harness.
-  double legacy_seconds = 0.0;
-  double legacy_points_per_sec = 0.0;
-  /// legacy_seconds / pooled_seconds at this thread count.
-  double speedup = 0.0;
   /// Pooled scaling efficiency relative to the report's first sample:
   /// (pooled_pps / pooled_pps_first) * threads_first / threads.
   double efficiency = 0.0;
@@ -171,11 +161,10 @@ struct SweepThroughputReport {
   std::vector<SweepThroughputSample> samples;
 };
 
-/// Times sweep_load(app, cfg, loads) — pooled and legacy — once per entry
-/// of `thread_counts`, after one untimed pooled warm-up at the first
-/// thread count. cfg.parallel_points is forced on for the pooled path.
-/// `reps` > 1 keeps the fastest of that many repetitions per path and
-/// thread count (see measure_throughput for the rationale).
+/// Times sweep_load(app, cfg, loads) once per entry of `thread_counts`,
+/// after one untimed warm-up at the first thread count. `reps` > 1 keeps
+/// the fastest of that many repetitions per thread count (see
+/// measure_throughput for the rationale).
 SweepThroughputReport measure_sweep_throughput(
     const Application& app, ExperimentConfig cfg,
     const std::vector<double>& loads, const std::vector<int>& thread_counts,

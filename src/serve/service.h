@@ -52,7 +52,8 @@ class Tracer;
 struct ServeSettings {
   /// Worker threads per dispatched simulation (ExperimentConfig::threads).
   int threads = 1;
-  /// Batched-engine lanes (ExperimentConfig::batch; 0 = auto).
+  /// Batched-engine lanes per call (ExperimentConfig::batch; 0 = auto,
+  /// N = N lanes).
   int batch = 0;
   DedupMode dedup = DedupMode::kAuto;
   /// Pending requests beyond which submit() rejects with "overloaded"

@@ -19,6 +19,7 @@
 #include "core/offline.h"
 #include "harness/experiment.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "power/power_model.h"
 #include "sim/batch_engine.h"
 #include "sim/engine.h"
@@ -186,7 +187,8 @@ TEST(BatchEngine, MatchesScalarEngineOnRandomApps) {
 }
 
 // Harness level: run_point output (stats, metrics, degenerate counts) is
-// identical for every batch size against the forced-scalar reference,
+// identical for every batch size against the scalar per-run observed path
+// (which a per-run tracer selects),
 // including lane counts that leave odd remainders (50 % 3, 50 % 8) and
 // one larger than the run count. Audit and metrics stay on, so the
 // counter export paths (shared cell vs per-lane cells) are both covered.
@@ -207,11 +209,13 @@ TEST(BatchEngine, RunPointMatchesScalarAcrossBatchSizes) {
     const SimTime deadline{static_cast<std::int64_t>(
         std::ceil(static_cast<double>(w.ps) / 0.5))};
 
-    cfg.batch = 1;  // forced scalar
-    ASSERT_EQ(resolved_batch_lanes(cfg), 0);
-    const SweepPoint ref = run_point(app, cfg, deadline, 0.5);
+    Tracer run_tracer(Tracer::Detail::kRuns);
+    ExperimentConfig ref_cfg = cfg;
+    ref_cfg.tracer = &run_tracer;
+    ASSERT_EQ(resolved_batch_lanes(ref_cfg), 0);
+    const SweepPoint ref = run_point(app, ref_cfg, deadline, 0.5);
 
-    for (int b : {0, 3, 8, 64, kRuns}) {
+    for (int b : {0, 1, 3, 8, 64, kRuns}) {
       SCOPED_TRACE(testing::Message()
                    << "app seed " << app_seed << " batch " << b);
       ExperimentConfig bcfg = cfg;
@@ -224,10 +228,11 @@ TEST(BatchEngine, RunPointMatchesScalarAcrossBatchSizes) {
   }
 }
 
-// verify_traces needs the scalar engine's completeness traversal, so such
-// configurations must resolve to the scalar path no matter what batch
-// size was requested — silently degrading verification would be worse
-// than the lost batching.
+// verify_traces needs the scalar engine's completeness traversal and a
+// per-run tracer needs one span per simulation, so such configurations must
+// resolve to the scalar observed path no matter what batch size was
+// requested — silently degrading verification would be worse than the
+// lost batching. Every other configuration gets real lanes.
 TEST(BatchEngine, ScalarOnlyFacilitiesForceScalarResolution) {
   ExperimentConfig cfg;
   cfg.batch = 64;
@@ -235,10 +240,17 @@ TEST(BatchEngine, ScalarOnlyFacilitiesForceScalarResolution) {
   cfg.verify_traces = true;
   EXPECT_EQ(resolved_batch_lanes(cfg), 0);
   cfg.verify_traces = false;
-  cfg.batch = 0;
-  EXPECT_GT(resolved_batch_lanes(cfg), 1);  // auto resolves to real lanes
-  cfg.batch = 1;
+  Tracer run_tracer(Tracer::Detail::kRuns);
+  cfg.tracer = &run_tracer;
   EXPECT_EQ(resolved_batch_lanes(cfg), 0);
+  Tracer chunk_tracer(Tracer::Detail::kChunks);
+  cfg.tracer = &chunk_tracer;
+  EXPECT_EQ(resolved_batch_lanes(cfg), 64);
+  cfg.tracer = nullptr;
+  cfg.batch = 0;
+  EXPECT_EQ(resolved_batch_lanes(cfg), 32);  // auto
+  cfg.batch = 1;
+  EXPECT_EQ(resolved_batch_lanes(cfg), 1);  // one lane, not scalar
 }
 
 }  // namespace

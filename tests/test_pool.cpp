@@ -1,10 +1,9 @@
 // Tests for the persistent worker pool (harness/pool.h) and the pooled
 // sweep executor built on it: chunk coverage, exception propagation, and —
 // the contract the paper's figures depend on — bit-identical SweepPoints
-// for every thread count, chunk size and point-interleaving mode. The
-// determinism tests carry the `pool_smoke` ctest label so they can be run
-// standalone under TSan (cmake -DPASERTA_SANITIZE=thread; ctest -L
-// pool_smoke).
+// for every thread count and chunk size. The determinism tests carry the
+// `pool_smoke` ctest label so they can be run standalone under TSan (cmake
+// -DPASERTA_SANITIZE=thread; ctest -L pool_smoke).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +17,7 @@
 #include "harness/experiment.h"
 #include "harness/pool.h"
 #include "obs/metrics.h"
+#include "reference_harness.h"
 
 namespace paserta {
 namespace {
@@ -94,19 +94,43 @@ TEST(WorkerPool, ZeroChunksIsANoop) {
 
 TEST(WorkerPool, BodyExceptionPropagatesToCaller) {
   WorkerPool pool(3);
-  std::atomic<int> executed{0};
-  EXPECT_THROW(pool.parallel_chunks(1000, 4,
+  // One participant runs the chunks in increasing order, so exactly
+  // chunks 0..7 run: the throw stops the loop at once.
+  int executed = 0;
+  EXPECT_THROW(pool.parallel_chunks(1000, 1,
                                     [&](int chunk, int) {
                                       ++executed;
                                       if (chunk == 7)
                                         throw Error("boom in chunk 7");
                                     }),
                Error);
-  // The abort flag stops remaining chunks: far fewer than 1000 ran.
-  EXPECT_LT(executed.load(), 1000);
+  EXPECT_EQ(executed, 8);
+
+  // Four participants. A participant stops at its first throwing body.
+  // Chunk 7 throws, and every chunk past 7 waits for that throw and then
+  // throws too, so however late the others see the abort flag, each runs
+  // at most one chunk past 7: at most chunks 0..7 plus one per other
+  // participant run.
+  constexpr int kWorkers = 4;
+  std::atomic<int> ran{0};
+  std::atomic<bool> thrown{false};
+  EXPECT_THROW(pool.parallel_chunks(1000, kWorkers,
+                                    [&](int chunk, int) {
+                                      ++ran;
+                                      if (chunk < 7) return;
+                                      if (chunk > 7)
+                                        while (!thrown.load())
+                                          std::this_thread::yield();
+                                      thrown.store(true);
+                                      throw Error("boom");
+                                    }),
+               Error);
+  EXPECT_TRUE(thrown.load());
+  EXPECT_LE(ran.load(), 8 + (kWorkers - 1));
+
   // The pool survives and is usable afterwards.
   std::atomic<int> after{0};
-  pool.parallel_chunks(10, 4, [&](int, int) { ++after; });
+  pool.parallel_chunks(10, kWorkers, [&](int, int) { ++after; });
   EXPECT_EQ(after.load(), 10);
 }
 
@@ -182,7 +206,7 @@ TEST(WorkerPool, EnsureThreadsGrows) {
 
 // ---------------------------------------------------------------------------
 // Executor determinism: the SweepPoint outputs must be bit-identical to the
-// serial run for every thread count, chunk size and point-parallel mode.
+// serial run for every thread count and chunk size.
 
 ExperimentConfig config(int runs, int threads) {
   ExperimentConfig cfg;
@@ -234,22 +258,17 @@ TEST(PoolDeterminism, SweepInvariantAcrossThreadsChunksPointModes) {
   const Application app = apps::build_synthetic();
   const std::vector<double> loads = {0.3, 0.5, 0.9};
 
-  ExperimentConfig base_cfg = config(30, 1);
-  base_cfg.parallel_points = false;
-  const std::vector<SweepPoint> baseline = sweep_load(app, base_cfg, loads);
+  const std::vector<SweepPoint> baseline =
+      sweep_load(app, config(30, 1), loads);
 
   for (int threads : {1, 2, 5}) {
     for (int chunk : {0, 1, 7, 64}) {
-      for (bool parallel_points : {false, true}) {
-        ExperimentConfig cfg = config(30, threads);
-        cfg.chunk_runs = chunk;
-        cfg.parallel_points = parallel_points;
-        const std::vector<SweepPoint> sweep = sweep_load(app, cfg, loads);
-        SCOPED_TRACE(testing::Message()
-                     << "threads=" << threads << " chunk=" << chunk
-                     << " parallel_points=" << parallel_points);
-        expect_sweep_identical(baseline, sweep);
-      }
+      ExperimentConfig cfg = config(30, threads);
+      cfg.chunk_runs = chunk;
+      const std::vector<SweepPoint> sweep = sweep_load(app, cfg, loads);
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " chunk=" << chunk);
+      expect_sweep_identical(baseline, sweep);
     }
   }
 }
@@ -257,12 +276,11 @@ TEST(PoolDeterminism, SweepInvariantAcrossThreadsChunksPointModes) {
 TEST(PoolDeterminism, PooledMatchesUnpooledRunPoint) {
   const Application app = apps::build_synthetic();
   const SimTime d = SimTime::from_ms(120);
+  const SweepPoint ref = reference_point(app, config(40, 1), d, 0.0);
   for (int threads : {1, 3}) {
-    const SweepPoint legacy =
-        run_point_unpooled(app, config(40, threads), d, 0.0);
     const SweepPoint pooled = run_point(app, config(40, threads), d, 0.0);
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    expect_point_identical(legacy, pooled);
+    expect_point_identical(ref, pooled);
   }
 }
 
@@ -271,16 +289,11 @@ TEST(PoolDeterminism, LoadSweepRunsExactlyOneCanonicalAnalysis) {
   const std::vector<double> loads = sweep_range(0.1, 1.0, 0.1);
   ASSERT_EQ(loads.size(), 10u);
 
-  for (bool parallel_points : {true, false}) {
-    ExperimentConfig cfg = config(5, 2);
-    cfg.parallel_points = parallel_points;
-    const std::uint64_t before = canonical_analysis_count();
-    const std::vector<SweepPoint> sweep = sweep_load(app, cfg, loads);
-    EXPECT_EQ(sweep.size(), 10u);
-    EXPECT_EQ(canonical_analysis_count() - before, 1u)
-        << "a load sweep must run round 1 once, parallel_points="
-        << parallel_points;
-  }
+  const std::uint64_t before = canonical_analysis_count();
+  const std::vector<SweepPoint> sweep = sweep_load(app, config(5, 2), loads);
+  EXPECT_EQ(sweep.size(), 10u);
+  EXPECT_EQ(canonical_analysis_count() - before, 1u)
+      << "a load sweep must run round 1 once";
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // seed (DESIGN.md §10). These tests pin that contract at three levels:
 // per-draw (scenario arrays and generator state), per-compile (validation
 // and template baking), and per-sweep (run_point's sampler path against
-// run_point_unpooled's legacy path on the paper's fig4a workload, across
-// loads and thread counts).
+// the serial draw_scenario reference of tests/reference_harness.h on the
+// paper's fig4a workload, across loads and thread counts).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,6 +21,7 @@
 #include "core/offline.h"
 #include "graph/graph.h"
 #include "harness/experiment.h"
+#include "reference_harness.h"
 #include "sim/sampler.h"
 #include "sim/scenario.h"
 
@@ -177,11 +178,11 @@ void expect_points_bit_identical(const SweepPoint& a, const SweepPoint& b) {
   }
 }
 
-/// The PR 3 regression: run_point (precompiled sampler + inline run
-/// accounting) must reproduce run_point_unpooled (legacy per-run
-/// draw_scenario + post-run traversal) bit-for-bit on the paper's fig4a
-/// workload — ATR on the Transmeta table, two CPUs — across multiple loads
-/// and thread counts.
+/// run_point (precompiled sampler + inline run accounting) must reproduce
+/// the serial reference (per-run draw_scenario + the scalar engine's
+/// post-run traversal) bit-for-bit on the paper's fig4a workload — ATR on
+/// the Transmeta table, two CPUs — across multiple loads and thread
+/// counts.
 TEST(Sampler, SweepBitIdenticalToLegacyFig4a) {
   const Application app = apps::build_atr();
   ExperimentConfig cfg;
@@ -197,12 +198,10 @@ TEST(Sampler, SweepBitIdenticalToLegacyFig4a) {
   for (const double load : {0.5, 0.8}) {
     const SimTime deadline{static_cast<std::int64_t>(
         std::ceil(static_cast<double>(w.ps) / load))};
+    const SweepPoint ref = reference_point(app, cfg, deadline, load);
     for (const int threads : {1, 3}) {
       cfg.threads = threads;
-      const SweepPoint fast = run_point(app, cfg, deadline, load);
-      const SweepPoint legacy =
-          run_point_unpooled(app, cfg, deadline, load);
-      expect_points_bit_identical(fast, legacy);
+      expect_points_bit_identical(run_point(app, cfg, deadline, load), ref);
     }
   }
 }

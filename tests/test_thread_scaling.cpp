@@ -1,26 +1,25 @@
 // Thread-scaling bit-identity suite: the contract the parallel-path
 // restructure (per-slot staging buffers, per-slot sampler clones, batched
 // chunk claiming — DESIGN.md §13) must preserve is that the rendered
-// figure output is *byte-identical* to the unpooled single-thread
-// reference at every thread count and chunk size, with audit and
-// observability enabled. The full fig4a load sweep is rendered to CSV per
-// configuration and compared as strings, so any reordering, dropped run,
-// staging-merge mistake or float-accumulation change fails loudly. The
-// suite carries the pool_smoke ctest label, so the pooled portion also
-// runs under ThreadSanitizer in CI (cmake -DPASERTA_SANITIZE=thread;
-// ctest -L pool_smoke).
+// figure output is *byte-identical* to the serial reference of
+// tests/reference_harness.h at every thread count and chunk size, with
+// audit and observability enabled. The full fig4a load sweep is rendered
+// to CSV per configuration and compared as strings, so any reordering,
+// dropped run, staging-merge mistake or float-accumulation change fails
+// loudly. The suite carries the pool_smoke ctest label, so the pooled
+// portion also runs under ThreadSanitizer in CI (cmake
+// -DPASERTA_SANITIZE=thread; ctest -L pool_smoke).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/offline.h"
 #include "harness/experiment.h"
 #include "harness/figures.h"
 #include "harness/report.h"
 #include "obs/metrics.h"
+#include "reference_harness.h"
 #include "sim/scenario.h"
 
 namespace paserta {
@@ -39,64 +38,62 @@ std::string render_csv(const FigureDef& fig,
   return os.str();
 }
 
-// Unpooled reference: the pre-pool execution model (fresh strided
-// std::thread set, fresh offline analysis, legacy per-run draw_scenario
-// walk), serial, with observability and audit off. Everything the pooled
-// path layers on top — persistent pool, chunk claiming, staging merge,
-// offline cache, compiled samplers, the batched engine, audit, metrics —
-// must be unobservable against this.
-std::string unpooled_reference_csv(const FigureDef& fig,
-                                   const Application& app) {
-  ExperimentConfig ref_cfg = fig.config;
-  ref_cfg.threads = 1;
-  const SimTime w = canonical_worst_makespan(
-      app, ref_cfg.cpus, ref_cfg.overheads.worst_case_budget(ref_cfg.table),
-      ref_cfg.heuristic);
-  std::vector<SweepPoint> ref_points;
-  for (double load : fig.xs) {
-    const SimTime deadline{static_cast<std::int64_t>(
-        std::ceil(static_cast<double>(w.ps) / load))};
-    ref_points.push_back(run_point_unpooled(app, ref_cfg, deadline, load));
-  }
-  return render_csv(fig, ref_points);
+// Serial reference (tests/reference_harness.h): one offline analysis per
+// point, draw_scenario per run, the scalar engine per scheme. Everything
+// the harness layers on top — persistent pool, chunk claiming, staging
+// merge, offline cache, compiled samplers, the batched engine, audit,
+// metrics — must be unobservable against this.
+std::string reference_csv(const FigureDef& fig, const Application& app) {
+  return render_csv(fig, reference_sweep_load(app, fig.config, fig.xs));
 }
 
-TEST(ThreadScalingBitIdentity, Fig4aSweepMatchesUnpooledReference) {
+// verify_traces adds the per-run observed path (scalar engine, verified
+// traces) to the chunk pipeline's configurations: both must match the
+// reference, and no trace may fail verification.
+TEST(ThreadScalingBitIdentity, Fig4aSweepMatchesSerialReference) {
   const FigureDef fig = paper_figure("fig4a", kRuns);
   const Application app = figure_workload(fig);
-  const std::string ref_csv = unpooled_reference_csv(fig, app);
+  const std::string ref_csv = reference_csv(fig, app);
   ASSERT_FALSE(ref_csv.empty());
 
-  for (int threads : {1, 2, 4}) {
-    for (int chunk : {0, 1, kRuns}) {
-      ExperimentConfig cfg = fig.config;
-      cfg.threads = threads;
-      cfg.chunk_runs = chunk;
-      // Audit re-accounts every run three ways and metrics route through
-      // the per-(point, slot, scheme) cells; both must stay write-only
-      // for the simulation at every thread count.
-      cfg.audit = true;
-      cfg.collect_metrics = true;
-      MetricsRegistry reg;  // scoped: keep the global registry clean
-      cfg.registry = &reg;
-      const std::string csv = render_csv(fig, sweep_load(app, cfg, fig.xs));
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " chunk_runs=" << chunk);
-      EXPECT_EQ(csv, ref_csv);
+  for (bool verify : {false, true}) {
+    for (int threads : {1, 2, 4}) {
+      for (int chunk : {0, 1, kRuns}) {
+        ExperimentConfig cfg = fig.config;
+        cfg.threads = threads;
+        cfg.chunk_runs = chunk;
+        cfg.verify_traces = verify;
+        // Audit re-accounts every run three ways and metrics route through
+        // the per-(point, slot, scheme) cells; both must stay write-only
+        // for the simulation at every thread count.
+        cfg.audit = true;
+        cfg.collect_metrics = true;
+        MetricsRegistry reg;  // scoped: keep the global registry clean
+        cfg.registry = &reg;
+        ASSERT_EQ(resolved_batch_lanes(cfg) == 0, verify);
+        const std::vector<SweepPoint> points = sweep_load(app, cfg, fig.xs);
+        SCOPED_TRACE(testing::Message() << "verify_traces=" << verify
+                                        << " threads=" << threads
+                                        << " chunk_runs=" << chunk);
+        EXPECT_EQ(render_csv(fig, points), ref_csv);
+        for (const SweepPoint& pt : points)
+          for (const SchemeStats& st : pt.stats)
+            EXPECT_EQ(st.verify_failures, 0u);
+      }
     }
   }
 }
 
 // The batched engine (sim/batch_engine.h) under the same contract: the
-// rendered fig4a sweep must stay byte-identical to the unpooled reference
+// rendered fig4a sweep must stay byte-identical to the serial reference
 // at every (thread count x batch size), with audit and metrics on. Batch
-// sizes cover forced scalar (1), a small size that leaves sub-batch
+// sizes cover one lane (1), a small size that leaves sub-batch
 // remainders wherever a claimed chunk's run count is not a multiple of 8,
 // auto (0), and lanes = the whole point.
 TEST(ThreadScalingBitIdentity, Fig4aSweepIdenticalAcrossBatchSizes) {
   const FigureDef fig = paper_figure("fig4a", kRuns);
   const Application app = figure_workload(fig);
-  const std::string ref_csv = unpooled_reference_csv(fig, app);
+  const std::string ref_csv = reference_csv(fig, app);
   ASSERT_FALSE(ref_csv.empty());
 
   for (int threads : {1, 2, 4}) {
@@ -143,7 +140,7 @@ TEST(ThreadScalingBitIdentity, DedupOnMatchesOffOnDiscreteWorkload) {
   Application app = figure_workload(fig);
   assign_alpha(app.graph, 1.0);  // ACET = WCET: discrete scenario space
 
-  // Reference: dedup forced off, serial, scalar engine, metrics on.
+  // Reference: dedup forced off, serial, one lane, metrics on.
   ExperimentConfig ref_cfg = fig.config;
   ref_cfg.threads = 1;
   ref_cfg.batch = 1;

@@ -26,11 +26,13 @@
 // must not fall below the floor, so thread scaling can never silently
 // regress back to ~1x while absolute throughput stays flat. Entries
 // without host_threads provenance (recorded before it existed) skip the
-// gate with a note. It is also held to a batched-engine floor
-// (--batch-floor, default 1.0): in the batch section, the auto batch size
-// (batch=0) must run at least that multiple of the forced-scalar (batch=1)
-// runs/sec — the two share one invocation, so the ratio is host-speed
-// independent. Entries without a batch section skip this gate with a note.
+// gate with a note. It is also held to a lane-count floor (--batch-floor,
+// default 1.0): in the batch section, the auto lane count (batch=0) must
+// run at least that multiple of the one-lane (batch=1) runs/sec — the two
+// share one invocation, so the ratio is host-speed independent. (Entries
+// recorded before batch=1 meant one lane measured the scalar engine
+// there; the gate reads them the same way.) Entries without a batch
+// section skip this gate with a note.
 // A third floor (--dedup-floor, default 3.0) holds the dedup section's
 // recorded on-over-off speedup at its largest run count; entries without a
 // dedup section skip it with a note. A fourth floor (--serve-cache-floor,
@@ -90,7 +92,7 @@ struct Args {
                "                   normalizing by the recording host's\n"
                "                   min(threads, host_threads) (default 0.5;\n"
                "                   0 disables the gate)\n"
-               "  --batch-floor F  minimum batched-over-scalar speedup in\n"
+               "  --batch-floor F  minimum auto-over-one-lane speedup in\n"
                "                   the newest entry's batch section (auto\n"
                "                   batch runs/sec over batch=1 runs/sec;\n"
                "                   default 1.0; 0 disables the gate;\n"
@@ -298,12 +300,12 @@ bool efficiency_gate_ok(const JsonValue& entry, std::size_t index,
   return ok;
 }
 
-/// Batched-engine gate on one entry: the auto batch size (batch == 0) must
-/// deliver at least `floor` times the forced-scalar (batch == 1) runs/sec
-/// in the entry's batch section. Both measurements come from the same
-/// bench invocation, so the ratio cancels host speed and isolates engine
-/// overhead — the batched path is bit-identical to the scalar oracle, so
-/// anything below 1.0 is pure loss. Returns false on a violation.
+/// Lane-count gate on one entry: the auto lane count (batch == 0) must
+/// deliver at least `floor` times the one-lane (batch == 1) runs/sec in
+/// the entry's batch section. Both measurements come from the same bench
+/// invocation, so the ratio cancels host speed and isolates engine
+/// overhead — outputs are bit-identical at every lane count, so anything
+/// below 1.0 is pure loss. Returns false on a violation.
 bool batch_gate_ok(const JsonValue& entry, std::size_t index, double floor) {
   if (!(floor > 0.0)) return true;  // disabled
   const JsonValue* batch = entry.find("batch");
@@ -314,7 +316,7 @@ bool batch_gate_ok(const JsonValue& entry, std::size_t index, double floor) {
               << " has no batch section — batch gate skipped\n";
     return true;
   }
-  const double* scalar = nullptr;
+  const double* one_lane = nullptr;
   const double* batched = nullptr;
   for (const JsonValue& s : samples->array) {
     const JsonValue* b = s.find("batch");
@@ -322,19 +324,19 @@ bool batch_gate_ok(const JsonValue& entry, std::size_t index, double floor) {
     if (b == nullptr || b->type != JsonValue::Type::Number || v == nullptr ||
         v->type != JsonValue::Type::Number)
       continue;
-    if (b->number == 1.0) scalar = &v->number;
+    if (b->number == 1.0) one_lane = &v->number;
     if (b->number == 0.0) batched = &v->number;
   }
-  if (scalar == nullptr || batched == nullptr || !(*scalar > 0.0)) {
+  if (one_lane == nullptr || batched == nullptr || !(*one_lane > 0.0)) {
     std::cout << "note: " << entry_label(entry, index)
               << " lacks batch=1 / batch=0 samples — batch gate skipped\n";
     return true;
   }
-  const double speedup = *batched / *scalar;
+  const double speedup = *batched / *one_lane;
   const bool ok = speedup >= floor;
   std::cout << "  " << (ok ? "ok" : "REGRESSION")
             << "  batch.runs_per_sec@batch=0 over @batch=1: " << *batched
-            << " / " << *scalar << " -> " << speedup << "x (floor " << floor
+            << " / " << *one_lane << " -> " << speedup << "x (floor " << floor
             << ")\n";
   return ok;
 }
@@ -511,7 +513,7 @@ int main(int argc, char** argv) {
   const bool efficiency_ok =
       efficiency_gate_ok(*candidate, candidate_idx, args.efficiency_floor);
   if (!efficiency_ok) regressed_names.push_back("sweep.efficiency floor");
-  // Batched-engine gate, also newest-entry-only: the batched and scalar
+  // Lane-count gate, also newest-entry-only: the auto and one-lane
   // numbers share one bench invocation, so a floor on their ratio is
   // host-independent in a way a cross-entry delta is not.
   const bool batch_ok =

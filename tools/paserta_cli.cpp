@@ -31,8 +31,8 @@
 //   --json             emit JSON instead of CSV
 //   --threads N        worker threads for the Monte-Carlo loop (default 1;
 //                      results are bit-identical for any value)
-//   --batch B          scenarios per batched engine call (0 = auto, 1 =
-//                      force the scalar engine; output identical either way)
+//   --batch B          scenarios per batched engine call (0 = auto, N = N
+//                      lanes; output identical for any value)
 //   --dedup MODE       auto | on | off: scenario-dedup memoization —
 //                      simulate each distinct scenario once, replay
 //                      duplicates (bit-identical, so output is the same)
@@ -160,9 +160,8 @@ struct Options {
       "  --threads N         worker threads (default 1; output identical\n"
       "                      for any value)\n"
       "  --batch B           scenarios per batched engine call (default 0 =\n"
-      "                      auto; 1 forces the scalar engine; the batched\n"
-      "                      engine is bit-identical, so output is the same\n"
-      "                      for any value)\n"
+      "                      auto, N = N lanes; output is the same for any\n"
+      "                      value)\n"
       "  --dedup MODE        auto | on | off (default auto): simulate each\n"
       "                      distinct scenario once and replay duplicates;\n"
       "                      auto enables it when the scenario space is\n"

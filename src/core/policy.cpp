@@ -19,29 +19,25 @@ const char* to_string(Scheme s) {
   return "?";
 }
 
-namespace {
-
-/// Speculative speed f_max * work / horizon, rounded to a table level per
-/// the policy options and clamped to [f_min, f_max] (paper §4). Returns the
-/// level's frequency.
-Freq speculate_level_freq(const PowerModel& pm, SimTime work, SimTime horizon,
-                          PolicyOptions::SpecRounding rounding) {
-  const LevelTable& t = pm.table();
+std::size_t speculate_level(const LevelTable& t, SimTime work,
+                            SimTime horizon,
+                            PolicyOptions::SpecRounding rounding) {
   const Freq desired = required_freq(t.f_max(), work, horizon);
-  const std::size_t idx = rounding == PolicyOptions::SpecRounding::Up
-                              ? t.quantize_up(desired)
-                              : t.quantize_down(desired);
-  return t.level(idx).freq;
+  return rounding == PolicyOptions::SpecRounding::Up ? t.quantize_up(desired)
+                                                     : t.quantize_down(desired);
 }
+
+namespace {
 
 class NpmPolicy final : public SpeedPolicy {
  public:
   const char* name() const override { return "NPM"; }
-  Kind kind() const override { return Kind::Static; }
   void reset(const OfflineResult&, const PowerModel& pm) override {
     level_ = pm.table().size() - 1;
   }
-  std::size_t static_level() const override { return level_; }
+  SpeedRule rule() const override {
+    return {.form = SpeedRule::Form::Static, .level = level_};
+  }
 
  private:
   std::size_t level_ = 0;
@@ -50,7 +46,6 @@ class NpmPolicy final : public SpeedPolicy {
 class SpmPolicy final : public SpeedPolicy {
  public:
   const char* name() const override { return "SPM"; }
-  Kind kind() const override { return Kind::Static; }
   void reset(const OfflineResult& off, const PowerModel& pm) override {
     // Stretch the canonical longest path to the deadline: f = f_max * W / D,
     // rounded up to the next level so the stretched schedule still fits.
@@ -58,7 +53,9 @@ class SpmPolicy final : public SpeedPolicy {
                                        off.deadline());
     level_ = pm.table().quantize_up(desired);
   }
-  std::size_t static_level() const override { return level_; }
+  SpeedRule rule() const override {
+    return {.form = SpeedRule::Form::Static, .level = level_};
+  }
 
  private:
   std::size_t level_ = 0;
@@ -67,8 +64,8 @@ class SpmPolicy final : public SpeedPolicy {
 class GssPolicy final : public SpeedPolicy {
  public:
   const char* name() const override { return "GSS"; }
-  Kind kind() const override { return Kind::Dynamic; }
   void reset(const OfflineResult&, const PowerModel&) override {}
+  SpeedRule rule() const override { return {.form = SpeedRule::Form::Greedy}; }
 };
 
 /// AS (paper §4.2): re-speculate after every OR node from the expected
@@ -79,11 +76,18 @@ class AdaptiveSpecPolicy final : public SpeedPolicy {
       : rounding_(rounding) {}
 
   const char* name() const override { return "AS"; }
-  Kind kind() const override { return Kind::Dynamic; }
 
   void reset(const OfflineResult& off, const PowerModel& pm) override {
-    floor_ = speculate_level_freq(pm, off.average_makespan(), off.deadline(),
-                                  rounding_);
+    floor_ = pm.table()
+                 .level(speculate_level(pm.table(), off.average_makespan(),
+                                        off.deadline(), rounding_))
+                 .freq;
+  }
+
+  SpeedRule rule() const override {
+    return {.form = SpeedRule::Form::Adaptive,
+            .f_high = floor_,
+            .rounding = rounding_};
   }
 
   Freq floor_freq(SimTime) const override { return floor_; }
@@ -98,7 +102,9 @@ class AdaptiveSpecPolicy final : public SpeedPolicy {
     } else {
       rem = off.rem_a_after(node);
     }
-    floor_ = speculate_level_freq(pm, rem, horizon, rounding_);
+    floor_ = pm.table()
+                 .level(speculate_level(pm.table(), rem, horizon, rounding_))
+                 .freq;
   }
 
  private:
@@ -124,10 +130,10 @@ void StaticSpecPolicy::reset(const OfflineResult& off, const PowerModel& pm) {
     // Single-speed speculation (or the speculated speed is exactly a
     // level / below the minimum level): one constant floor, rounded per
     // the policy options.
-    const std::size_t idx =
-        rounding_ == PolicyOptions::SpecRounding::Up ? hi
-                                                     : t.quantize_down(raw);
-    f_low_ = f_high_ = t.level(idx).freq;
+    f_low_ = f_high_ =
+        t.level(speculate_level(t, off.average_makespan(), off.deadline(),
+                                rounding_))
+            .freq;
     theta_ = SimTime::zero();
     return;
   }

@@ -30,6 +30,36 @@ enum class Scheme { NPM, SPM, GSS, SS1, SS2, AS };
 
 const char* to_string(Scheme s);
 
+/// Options for the speculative schemes. The paper's print is ambiguous on
+/// whether a speculated speed between two levels rounds to the higher or
+/// lower one for SS1/AS; both are safe (the greedy component guarantees
+/// the deadline either way), so the choice is exposed and benchmarked
+/// (bench_ablation_rounding). Default: round up, which needs fewer
+/// corrective switches later.
+struct PolicyOptions {
+  enum class SpecRounding { Up, Down };
+  SpecRounding spec_rounding = SpecRounding::Up;
+};
+
+/// A reset policy's speed rule as plain data: everything the simulation
+/// kernel (sim/batch_engine.cpp) needs to run the policy without a
+/// virtual call per dispatch. Frequencies are table frequencies of the
+/// power model the policy was reset against.
+struct SpeedRule {
+  enum class Form {
+    Static,      // every task at `level`, no runtime PMPs (NPM, SPM, FIXED)
+    Greedy,      // GSS: per-task greedy speed, no floor
+    StaticSpec,  // SS1/SS2: greedy, floored at f_low before theta, f_high after
+    Adaptive,    // AS: greedy, floored at f_high, re-speculated per OR node
+  };
+  Form form = Form::Static;
+  std::size_t level = 0;
+  Freq f_low = 0;
+  Freq f_high = 0;
+  SimTime theta{};
+  PolicyOptions::SpecRounding rounding = PolicyOptions::SpecRounding::Up;
+};
+
 class SpeedPolicy {
  public:
   enum class Kind {
@@ -40,13 +70,22 @@ class SpeedPolicy {
   virtual ~SpeedPolicy() = default;
 
   virtual const char* name() const = 0;
-  virtual Kind kind() const = 0;
 
   /// Called once per run before simulation starts.
   virtual void reset(const OfflineResult& off, const PowerModel& pm) = 0;
 
+  /// The policy's current rule — the one accessor the engine reads, once
+  /// per call, right after reset(). (AS's floor moves as on_or_fired runs;
+  /// the engine keeps that per-run state itself.)
+  virtual SpeedRule rule() const = 0;
+
+  Kind kind() const {
+    return rule().form == SpeedRule::Form::Static ? Kind::Static
+                                                  : Kind::Dynamic;
+  }
+
   /// Static policies: the level index every task runs at.
-  virtual std::size_t static_level() const { return 0; }
+  std::size_t static_level() const { return rule().level; }
 
   /// Dynamic policies: the speculative frequency floor active at time `t`
   /// (0 = pure greedy). Always a table frequency or 0.
@@ -67,16 +106,13 @@ class SpeedPolicy {
   }
 };
 
-/// Options for the speculative schemes. The paper's print is ambiguous on
-/// whether a speculated speed between two levels rounds to the higher or
-/// lower one for SS1/AS; both are safe (the greedy component guarantees
-/// the deadline either way), so the choice is exposed and benchmarked
-/// (bench_ablation_rounding). Default: round up, which needs fewer
-/// corrective switches later.
-struct PolicyOptions {
-  enum class SpecRounding { Up, Down };
-  SpecRounding spec_rounding = SpecRounding::Up;
-};
+/// Speculative speed level (paper §4): the level of f_max * work /
+/// horizon, rounded per `rounding` and clamped to the table. The one
+/// speculation rule — SS1's floor, AS's reset and OR-node update and the
+/// simulation kernel's per-lane AS update all call it.
+std::size_t speculate_level(const LevelTable& t, SimTime work,
+                            SimTime horizon,
+                            PolicyOptions::SpecRounding rounding);
 
 /// Factory for the paper's schemes.
 std::unique_ptr<SpeedPolicy> make_policy(Scheme s,
@@ -88,9 +124,10 @@ class FixedLevelPolicy final : public SpeedPolicy {
  public:
   explicit FixedLevelPolicy(std::size_t level) : level_(level) {}
   const char* name() const override { return "FIXED"; }
-  Kind kind() const override { return Kind::Static; }
   void reset(const OfflineResult&, const PowerModel& pm) override;
-  std::size_t static_level() const override { return level_; }
+  SpeedRule rule() const override {
+    return {.form = SpeedRule::Form::Static, .level = level_};
+  }
 
  private:
   std::size_t level_;
@@ -105,8 +142,13 @@ class StaticSpecPolicy final : public SpeedPolicy {
       : two_speeds_(two_speeds), rounding_(rounding) {}
 
   const char* name() const override { return two_speeds_ ? "SS2" : "SS1"; }
-  Kind kind() const override { return Kind::Dynamic; }
   void reset(const OfflineResult& off, const PowerModel& pm) override;
+  SpeedRule rule() const override {
+    return {.form = SpeedRule::Form::StaticSpec,
+            .f_low = f_low_,
+            .f_high = f_high_,
+            .theta = theta_};
+  }
 
   Freq floor_freq(SimTime now) const override {
     return (two_speeds_ && now < theta_) ? f_low_ : f_high_;

@@ -113,19 +113,22 @@ struct ChunkStage {
 static_assert(std::is_trivially_copyable_v<SchemeOutcome>,
               "ChunkStage::flush memcpys SchemeOutcome rows");
 
-/// Lanes per simulate_batch call of the chunk pipeline, or 0 for the
-/// per-run observed path, which the two configurations that observe the
-/// engine per run need: verify_traces (the scalar engine's completeness
-/// traversal) and a Tracer::Detail::kRuns tracer (one span per
-/// simulation). The lane count is output-invisible (the batched engine is
-/// bit-identical to the scalar one at every width), so auto just picks the
-/// measured sweet spot: large enough to amortize the per-batch setup
-/// (derived tables, devirtualized policy reset) over many runs, small
-/// enough that the batch's lane state stays cache-resident on one core.
+/// Whether `cfg` carries a Tracer::Detail::kRuns tracer (one span per
+/// simulation).
+bool traces_runs(const ExperimentConfig& cfg) {
+  return cfg.tracer != nullptr &&
+         cfg.tracer->detail() == Tracer::Detail::kRuns;
+}
+
+/// Lanes per simulate_batch call of the chunk pipeline. The lane count is
+/// output-invisible (a lane's result does not depend on the lane count),
+/// so auto just picks the measured sweet spot: large enough to amortize
+/// the per-batch setup (derived tables, the policy's rule) over many runs,
+/// small enough that the batch's lane state stays cache-resident on one
+/// core. A Tracer::Detail::kRuns tracer records one span per engine call,
+/// so it runs one lane to keep one span per simulation.
 int batch_lanes_for(const ExperimentConfig& cfg) {
-  if (cfg.verify_traces) return 0;
-  if (cfg.tracer != nullptr && cfg.tracer->detail() == Tracer::Detail::kRuns)
-    return 0;
+  if (traces_runs(cfg)) return 1;
   return cfg.batch > 0 ? cfg.batch : 32;
 }
 
@@ -153,10 +156,9 @@ int batch_lanes_for(const ExperimentConfig& cfg) {
 /// reports `space` distinct scenarios (0 = unbounded).
 bool dedup_for(const ExperimentConfig& cfg, std::uint64_t space) {
   // Replayed runs perform no engine work, so configurations whose purpose
-  // is per-run engine work keep the uncached path: the observed path's
-  // verify_traces and per-run spans, and audit, which re-accounts every
-  // run three ways.
-  if (batch_lanes_for(cfg) == 0 || cfg.audit) return false;
+  // is per-run engine work keep the uncached path: verify_traces, per-run
+  // spans, and audit, which re-accounts every run three ways.
+  if (cfg.verify_traces || traces_runs(cfg) || cfg.audit) return false;
   switch (cfg.dedup) {
     case DedupMode::kOff:
       return false;
@@ -361,8 +363,8 @@ void audit_run(const Application& app, const OfflineResult& off,
 
 /// One scheme's per-run outcome from its engine result and the same run's
 /// NPM baseline energy. Built from scratch, so it may overwrite a reused
-/// staging entry; verify_failed stays false (only the observed path
-/// verifies traces). A degenerate run (zero NPM energy: no computation and
+/// staging entry; verify_failed is left false for the caller to set. A
+/// degenerate run (zero NPM energy: no computation and
 /// zero idle power) has no normalized energy — dividing by it would poison
 /// RunningStat with NaN/Inf.
 SchemeOutcome scheme_outcome(const SimResult& r, double npm_energy,
@@ -408,93 +410,15 @@ struct WorkerCtx {
   std::vector<std::uint64_t> key;  // one fingerprint (op_count words)
   std::vector<std::pair<int, std::uint32_t>> fill;  // (stage idx, record id)
   RecordTmp rec_tmp;  // shared-store reads copy here under the lock
-  // Observed-path state (scalar engine), built on first use.
-  std::vector<std::unique_ptr<SpeedPolicy>> policies;
-  std::unique_ptr<SpeedPolicy> npm;
-  SimWorkspace ws;
-  RunScenario sc;
 
   explicit WorkerCtx(std::size_t sampler_count) : samplers(sampler_count) {}
 };
 
-/// The per-run observed path: the scalar engine, one run at a time, for
-/// the two configurations that need per-run engine observation the
-/// batched engine cannot give — verify_traces (the engine's completeness
-/// traversal plus a verified trace per run) and a Tracer::Detail::kRuns
-/// tracer (one span per simulation). Stages exactly the values the chunk
-/// pipeline stages for the same runs.
-void evaluate_chunk_observed(const Application& app,
-                             const ExperimentConfig& cfg,
-                             const OfflineResult& off, const PowerModel& pm,
-                             SimTime deadline, const ScenarioSampler& sampler,
-                             int first, int count, WorkerCtx& ctx,
-                             const RunObs& obs) {
-  const std::size_t nschemes = cfg.schemes.size();
-  if (!ctx.npm) {
-    for (Scheme s : cfg.schemes)
-      ctx.policies.push_back(make_policy(s, cfg.policy_options));
-    ctx.npm = make_policy(Scheme::NPM);
-  }
-  // Traces are only materialized when something consumes them: the
-  // verifier, and audit's power-curve integral check.
-  SimOptions sim_opt;
-  sim_opt.record_trace = cfg.verify_traces || cfg.audit;
-  sim_opt.check_completeness = cfg.verify_traces;
-  sim_opt.audit = cfg.audit;
-
-  // Simulates one scheme of the drawn scenario. Audit runs export into a
-  // run-local cell first, so attribution_energy sees exactly one run's
-  // ledger; the local is then merged into the slot-owned cell (integer
-  // adds — the merged totals are identical to direct accumulation).
-  SimCounters audit_cell;
-  const auto simulate_one = [&](SpeedPolicy& policy, Scheme scheme,
-                                std::size_t cell, int run) {
-    SimCounters* const slot_cell =
-        obs.cells != nullptr ? obs.cells + cell : nullptr;
-    policy.reset(off, pm);
-    if (cfg.audit) audit_cell = SimCounters{};
-    sim_opt.counters = cfg.audit ? &audit_cell : slot_cell;
-    const SimResult r = [&] {
-      TraceSpan span(obs.run_tracer, obs.slot, to_string(scheme), obs.point,
-                     run);
-      return simulate(app, off, pm, cfg.overheads, policy, ctx.sc, ctx.ws,
-                      sim_opt);
-    }();
-    if (cfg.audit) {
-      audit_run(app, off, pm, cfg.overheads, audit_cell, r, scheme);
-      if (slot_cell != nullptr) slot_cell->add(audit_cell);
-    }
-    return r;
-  };
-
-  for (int k = 0; k < count; ++k) {
-    const int run = first + k;
-    const auto i = static_cast<std::size_t>(k);
-    {
-      ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
-      Rng run_rng(Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(run)));
-      sampler.draw_into(run_rng, ctx.sc);
-    }
-    ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
-    const double npm_energy =
-        simulate_one(*ctx.npm, Scheme::NPM, nschemes, run).total_energy();
-    ctx.stage.npm_energy[i] = npm_energy;
-    ctx.stage.degenerate[i] = !(npm_energy > 0.0) ? 1 : 0;
-    for (std::size_t s = 0; s < nschemes; ++s) {
-      const SimResult r =
-          simulate_one(*ctx.policies[s], cfg.schemes[s], s, run);
-      SchemeOutcome so = scheme_outcome(r, npm_energy, deadline);
-      if (cfg.verify_traces)
-        so.verify_failed = !verify_trace(app, off, ctx.sc, r).ok;
-      ctx.stage.schemes[i * nschemes + s] = so;
-    }
-  }
-}
-
-/// The chunk pipeline of every configuration without per-run observation:
-/// sample a lane group from the slot's sampler, simulate the NPM baseline
-/// plus every scheme over it with simulate_batch (`lanes_max` lanes per
-/// engine call), and stage the rows. With a `shard`, the dedup filter
+/// The chunk pipeline of every configuration: sample a lane group from the
+/// slot's sampler, simulate the NPM baseline plus every scheme over it
+/// with simulate_batch (`lanes_max` lanes per engine call), verify each
+/// lane's trace when verify_traces asks for it, and stage the rows. With a
+/// `shard`, the dedup filter
 /// (DESIGN.md §15) sits in front of the engine: each draw also emits its
 /// fingerprint, a repeated scenario is queued for replay, a record another
 /// slot already published is adopted, and only a first encounter takes a
@@ -523,11 +447,24 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
   if (shard != nullptr) ctx.key.resize(sampler.op_count());
   const std::uint64_t miss0 = shard != nullptr ? shard->misses : 0;
 
-  // Simulates lanes [0, nlanes) — the NPM baseline first (its energies
-  // normalize the others), then every scheme — and writes lane l's record
-  // to npm_out[l], degenerate_out[l], rows_out[l * nschemes + s] and, when
-  // rec_cells is set, its counters to rec_cells[l * ncells + cell].
-  const auto simulate_group = [&](std::size_t nlanes, double* npm_out,
+  // The verifier reads a lane's scenario as a RunScenario.
+  const auto verify_lane = [&](std::size_t l) {
+    const std::size_t n = app.graph.size();
+    RunScenario sc;
+    sc.actual.assign(ctx.batch_sc.lane_actual(l),
+                     ctx.batch_sc.lane_actual(l) + n);
+    sc.or_choice.assign(ctx.batch_sc.lane_choice(l),
+                        ctx.batch_sc.lane_choice(l) + n);
+    return verify_trace(app, off, sc, ctx.batch_results[l]).ok;
+  };
+
+  // Simulates lanes [0, nlanes), the runs from `run0` on — the NPM
+  // baseline first (its energies normalize the others), then every scheme
+  // — and writes lane l's record to npm_out[l], degenerate_out[l],
+  // rows_out[l * nschemes + s] and, when rec_cells is set, its counters to
+  // rec_cells[l * ncells + cell].
+  const auto simulate_group = [&](std::size_t nlanes, int run0,
+                                  double* npm_out,
                                   std::uint8_t* degenerate_out,
                                   SchemeOutcome* rows_out,
                                   SimCounters* rec_cells) {
@@ -535,7 +472,9 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
       ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
       SimCounters* const slot_cell = metrics ? obs.cells + cell : nullptr;
       BatchSimOptions bo;
-      bo.record_trace = cfg.audit;
+      // Traces are only materialized when something consumes them: the
+      // verifier, and audit's power-curve integral check.
+      bo.record_trace = cfg.audit || cfg.verify_traces;
       bo.audit = cfg.audit;
       bo.prof = obs.prof;
       bo.ph_setup = obs.ph_batch_setup;
@@ -547,9 +486,13 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
       } else {
         bo.shared_cell = slot_cell;
       }
-      simulate_batch(app, off, pm, cfg.overheads, scheme, cfg.policy_options,
-                     ctx.batch_sc, nlanes, ctx.batch_ws,
-                     ctx.batch_results.data(), bo);
+      {
+        TraceSpan span(obs.run_tracer, obs.slot, to_string(scheme), obs.point,
+                       run0);
+        simulate_batch(app, off, pm, cfg.overheads, scheme,
+                       cfg.policy_options, ctx.batch_sc, nlanes, ctx.batch_ws,
+                       ctx.batch_results.data(), bo);
+      }
       if (!lane_cells) return;
       for (std::size_t l = 0; l < nlanes; ++l) {
         if (cfg.audit)
@@ -570,9 +513,12 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
     }
     for (std::size_t s = 0; s < nschemes; ++s) {
       run_scheme(cfg.schemes[s], s);
-      for (std::size_t l = 0; l < nlanes; ++l)
-        rows_out[l * nschemes + s] =
+      for (std::size_t l = 0; l < nlanes; ++l) {
+        SchemeOutcome so =
             scheme_outcome(ctx.batch_results[l], npm_out[l], deadline);
+        if (cfg.verify_traces) so.verify_failed = !verify_lane(l);
+        rows_out[l * nschemes + s] = so;
+      }
     }
   };
 
@@ -613,7 +559,8 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
     const auto nlanes = static_cast<std::size_t>(lanes);
     if (shard == nullptr) {
       const auto g = static_cast<std::size_t>(group_first);
-      simulate_group(nlanes, ctx.stage.npm_energy.data() + g,
+      simulate_group(nlanes, first + group_first,
+                     ctx.stage.npm_energy.data() + g,
                      ctx.stage.degenerate.data() + g,
                      ctx.stage.schemes.data() + g * nschemes, nullptr);
       continue;
@@ -626,7 +573,8 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
       shard->degenerate.resize(base + nlanes);
       shard->rows.resize((base + nlanes) * nschemes);
       if (metrics) shard->cells.resize((base + nlanes) * ncells);
-      simulate_group(nlanes, shard->npm_energy.data() + base,
+      simulate_group(nlanes, first + group_first,
+                     shard->npm_energy.data() + base,
                      shard->degenerate.data() + base,
                      shard->rows.data() + base * nschemes,
                      metrics ? shard->cells.data() + base * ncells : nullptr);
@@ -959,25 +907,20 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     // per-run loop touches no shared mutable memory at all.
     ctx->stage.ensure(chunk, nschemes);
     const ScenarioSampler& sampler = *ctx->samplers[sidx];
-    if (batch_lanes == 0) {
-      evaluate_chunk_observed(*spec.app, cfg, *spec.off, pm, spec.deadline,
-                              sampler, first, count, *ctx, obs);
-    } else {
-      // The dedup filter's shard is created by the owning slot's own
-      // thread, like the rest of its worker-local state.
-      OutcomeShard* shard = nullptr;
-      SharedOutcomes* shared = nullptr;
-      if (spec_dedup[static_cast<std::size_t>(p)] != 0) {
-        auto& sh = shards[static_cast<std::size_t>(p) * nslots +
-                          static_cast<std::size_t>(slot)];
-        if (!sh) sh = std::make_unique<OutcomeShard>(sampler.op_count());
-        shard = sh.get();
-        if (!shared_stores.empty())
-          shared = shared_stores[static_cast<std::size_t>(p)].get();
-      }
-      evaluate_chunk(*spec.app, cfg, *spec.off, pm, spec.deadline, sampler,
-                     first, count, batch_lanes, *ctx, obs, shard, shared);
+    // The dedup filter's shard is created by the owning slot's own thread,
+    // like the rest of its worker-local state.
+    OutcomeShard* shard = nullptr;
+    SharedOutcomes* shared = nullptr;
+    if (spec_dedup[static_cast<std::size_t>(p)] != 0) {
+      auto& sh = shards[static_cast<std::size_t>(p) * nslots +
+                        static_cast<std::size_t>(slot)];
+      if (!sh) sh = std::make_unique<OutcomeShard>(sampler.op_count());
+      shard = sh.get();
+      if (!shared_stores.empty())
+        shared = shared_stores[static_cast<std::size_t>(p)].get();
     }
+    evaluate_chunk(*spec.app, cfg, *spec.off, pm, spec.deadline, sampler,
+                   first, count, batch_lanes, *ctx, obs, shard, shared);
     {
       ProfScope ps(obs.prof, obs.ph_flush, slot);
       ctx->stage.flush(outcomes[static_cast<std::size_t>(p)], first, count,

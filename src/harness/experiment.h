@@ -79,12 +79,10 @@ struct ExperimentConfig {
   /// the shared counter less.
   int chunk_runs = 0;
   /// Scenarios simulated in lockstep per engine call (sim/batch_engine.h):
-  /// 0 = auto (32), N >= 1 = N lanes. Purely a scheduling knob: the
-  /// batched engine is bit-identical to the scalar one run-for-run at
-  /// every width, so every output (energies, counters, CSV) is the same
-  /// for every value. Configurations that observe the engine per run
-  /// (verify_traces' completeness traversal, per-run tracer spans) take
-  /// the scalar per-run path regardless.
+  /// 0 = auto (32), N >= 1 = N lanes. Purely a scheduling knob: a lane's
+  /// result does not depend on the lane count, so every output (energies,
+  /// counters, CSV) is the same for every value. A per-run tracer (one
+  /// span per simulation) runs one lane regardless.
   int batch = 0;
   /// Scenario-dedup outcome memoization (see DedupMode). Configurations
   /// that need genuinely per-run engine work — verify_traces, audit's
@@ -194,10 +192,10 @@ struct SweepPoint {
   const SchemeStats& of(Scheme s) const;
 };
 
-/// Lanes per batched engine call that `config` resolves to, or 0 for the
-/// scalar per-run observed path (verify_traces or a Tracer::Detail::kRuns
-/// tracer). run_point's workers use exactly this rule; exposed so benches
-/// and tests can label measurements with it.
+/// Lanes per engine call that `config` resolves to: `batch` (auto = 32),
+/// or 1 under a Tracer::Detail::kRuns tracer. run_point's workers use
+/// exactly this rule; exposed so benches and tests can label measurements
+/// with it.
 int resolved_batch_lanes(const ExperimentConfig& config);
 
 /// Whether `config` resolves to scenario-dedup memoization for a workload

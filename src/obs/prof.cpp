@@ -198,6 +198,37 @@ std::vector<ProfPhaseTotals> Profiler::snapshot() const {
   return out;
 }
 
+std::vector<std::uint64_t> Profiler::top_level_ns_by_slot() const {
+  const int n = phase_count_.load(std::memory_order_acquire);
+  std::vector<std::uint8_t> top(static_cast<std::size_t>(n));
+  {
+    std::lock_guard<std::mutex> lock(m_);
+    for (int p = 0; p < n; ++p) top[p] = top_level_[p];
+  }
+  std::vector<std::uint64_t> out(kSlots, 0);
+  for (int p = 0; p < n; ++p) {
+    if (!top[p]) continue;
+    for (int s = 0; s < kSlots; ++s)
+      out[s] += cell(p, s).v[kNs].load(std::memory_order_relaxed);
+  }
+  while (!out.empty() && out.back() == 0) out.pop_back();
+  return out;
+}
+
+ProfAttribution attribute_cpu_time(const Profiler& prof, double wall_ns) {
+  ProfAttribution a;
+  const std::vector<std::uint64_t> slot_ns = prof.top_level_ns_by_slot();
+  a.cpu_ns = wall_ns * static_cast<double>(slot_ns.size());
+  double top_ns = 0.0;
+  for (const std::uint64_t ns : slot_ns) {
+    top_ns += static_cast<double>(ns);
+    a.slot_util.push_back(wall_ns > 0.0 ? static_cast<double>(ns) / wall_ns
+                                        : 0.0);
+  }
+  a.attributed = a.cpu_ns > 0.0 ? top_ns / a.cpu_ns : 0.0;
+  return a;
+}
+
 void Profiler::export_delta_to(MetricsRegistry& reg) {
   const std::vector<ProfPhaseTotals> snap = snapshot();
   std::lock_guard<std::mutex> lock(m_);

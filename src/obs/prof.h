@@ -96,6 +96,12 @@ class Profiler {
   /// in-flight deltas land in a later snapshot).
   std::vector<ProfPhaseTotals> snapshot() const;
 
+  /// Wall time charged to top-level phases, per slot: entry s is slot s's
+  /// total, up to the highest slot that recorded any (empty when none
+  /// did). Top-level phases do not overlap on one slot, so no entry can
+  /// exceed the wall time of the profiled call.
+  std::vector<std::uint64_t> top_level_ns_by_slot() const;
+
   /// Exports the delta since the previous export as prof.<phase>.{ns,
   /// count[,cycles,instructions,cache_refs,cache_misses,branch_misses]}
   /// registry counters (hardware columns only when hardware() is true):
@@ -154,6 +160,19 @@ class Profiler {
   std::atomic<std::int64_t> next_sample_ns_[kSlots] = {};
   std::vector<std::uint64_t> exported_;  // last-export totals, phase-major
 };
+
+/// Attribution of one profiled call that took `wall_ns`, against CPU time:
+/// each slot that recorded top-level time had the call's wall time to
+/// spend, so the call had wall x slots of CPU time. Per-slot thread time
+/// summed against one wall clock overshoots 100 % as soon as more than one
+/// slot works; shares of CPU time cannot.
+struct ProfAttribution {
+  double cpu_ns = 0.0;              // wall_ns x slot_util.size()
+  double attributed = 0.0;          // top-level ns / cpu_ns, in [0, 1]
+  std::vector<double> slot_util;    // per slot: its top-level ns / wall_ns
+};
+
+ProfAttribution attribute_cpu_time(const Profiler& prof, double wall_ns);
 
 /// RAII phase region. Null profiler = single pointer test, nothing else.
 /// The slot must follow the shard contract: one live writer per (profiler,

@@ -1,13 +1,15 @@
-// Batched SoA engine (see batch_engine.h and DESIGN.md §14).
+// Simulation kernel (see batch_engine.h and DESIGN.md §14).
 //
-// Correctness contract: every per-lane step below is the scalar engine's
-// step (sim/engine.cpp) operating on lane-major slab rows instead of
-// SimWorkspace vectors. Integer arithmetic may be hoisted, amortized and
-// restructured freely as long as every produced value is identical:
+// Correctness contract: every per-lane step below is the paper's dispatch
+// step exactly as the reference engine (tests/reference_engine.h) writes
+// it — sorted (EO, id) ready queue, (finish, seq) completion order,
+// required_freq -> max(floor) -> quantize_up speed choice, scale_time
+// durations — operating on lane-major slab rows. Integer arithmetic is
+// hoisted, amortized and restructured as long as every produced value is
+// identical:
 //
 //  * the per-level compute-overhead table, the shared initial ready set
-//    and the once-per-batch policy reset are pure functions of
-//    batch-constant inputs;
+//    and the policy's rule are pure functions of batch-constant inputs;
 //  * the sorted-key ready queue is a bitmap over execution order: EO
 //    values are unique on any single run path (EO ranges only overlap
 //    across mutually exclusive OR alternatives), so lowest-set-bit pop is
@@ -25,9 +27,10 @@
 //    or a completion time maxed in by on_completion before dispatch runs),
 //    so the final value is unchanged.
 //
-// The end-of-run floating-point fold is kept operation-for-operation
-// identical. Any divergence is a bug that the cross-validation suite
-// (tests/test_batch_engine.cpp) and the fig4a identity matrix
+// The end-of-run floating-point fold is attribution_energy()'s canonical
+// fold (sim/engine.cpp) over the touched entries. Any divergence is a bug
+// that the reference cross-validation suites (tests/test_batch_engine.cpp,
+// tests/test_reference_identity.cpp) and the fig4a identity matrix
 // (tests/test_thread_scaling.cpp) must catch.
 #include "sim/batch_engine.h"
 
@@ -38,7 +41,6 @@
 
 #include "common/error.h"
 #include "obs/prof.h"
-#include "sim/engine_core.h"
 
 namespace paserta {
 
@@ -101,15 +103,43 @@ void BatchWorkspace::ensure(std::size_t lanes_in, std::size_t nodes_in,
 
 namespace {
 
-enum class PolicyClass { Static, Gss, StaticSpec, Adaptive };
+using Form = SpeedRule::Form;
 
 inline std::uint64_t mulhi64(std::uint64_t a, std::uint64_t b) {
   return static_cast<std::uint64_t>(
       (static_cast<unsigned __int128>(a) * b) >> 64);
 }
 
+/// Index of the minimum (finish, seq) among `n` outstanding completions.
+/// At most one completion per CPU is outstanding, so a linear scan beats
+/// heap maintenance; (finish, seq) is unique, so the extraction order is
+/// deterministic however swap-removal has permuted the arrays.
+inline std::uint32_t completion_min(const std::int64_t* finish,
+                                    const std::uint64_t* seq,
+                                    std::uint32_t n) {
+  std::uint32_t min_i = 0;
+  for (std::uint32_t i = 1; i < n; ++i) {
+    if (finish[i] < finish[min_i] ||
+        (finish[i] == finish[min_i] && seq[i] < seq[min_i]))
+      min_i = i;
+  }
+  return min_i;
+}
+
+/// A completion's payload (cpu, node), two u32s in one u64, kept out of
+/// the scanned key arrays.
+inline std::uint64_t completion_meta(std::uint32_t cpu, std::uint32_t node) {
+  return (static_cast<std::uint64_t>(cpu) << 32) | node;
+}
+inline std::uint32_t completion_cpu(std::uint64_t meta) {
+  return static_cast<std::uint32_t>(meta >> 32);
+}
+inline std::uint32_t completion_node(std::uint64_t meta) {
+  return static_cast<std::uint32_t>(meta);
+}
+
 /// Batch-constant inputs of one simulate_batch call: shared read-only
-/// tables plus the devirtualized policy parameters.
+/// tables plus the policy's rule.
 struct BatchCtx {
   std::span<const Node> nodes;
   std::span<const std::uint32_t> eo;
@@ -128,12 +158,11 @@ struct BatchCtx {
   std::uint32_t ncpus = 0;
   std::uint32_t top_lvl = 0;   // levels.size() - 1
   std::uint32_t nwords = 0;    // ready-bitmap words in use
-  // Devirtualized policy parameters (valid per PolicyClass).
+  // The policy's rule as level indices (valid per Form).
   std::size_t initial_level = 0;
   std::uint32_t spec_low_lvl = 0;
   std::uint32_t spec_high_lvl = 0;
   std::int64_t spec_theta_ps = 0;
-  std::uint32_t as_floor0_lvl = 0;
   PolicyOptions::SpecRounding rounding = PolicyOptions::SpecRounding::Up;
   const ScenarioBatch* scen = nullptr;
   const PowerModel* pm = nullptr;
@@ -141,10 +170,10 @@ struct BatchCtx {
   SimResult* results = nullptr;
 };
 
-template <PolicyClass PC, bool kCounters, bool kTrace>
+template <Form PC, bool kCounters, bool kTrace>
 class Kernel {
  public:
-  static constexpr bool kDynamic = PC != PolicyClass::Static;
+  static constexpr bool kDynamic = PC != Form::Static;
 
   Kernel(const BatchCtx& ctx, BatchWorkspace& ws) : c_(ctx), ws_(ws) {}
 
@@ -218,10 +247,10 @@ class Kernel {
   /// The policy's floor, as a level index (every floor frequency is a
   /// table frequency, so the index carries the same information).
   std::uint32_t floor_lvl(const LaneScalars& s, SimTime now) const {
-    if constexpr (PC == PolicyClass::StaticSpec) {
+    if constexpr (PC == Form::StaticSpec) {
       (void)s;
       return now.ps < c_.spec_theta_ps ? c_.spec_low_lvl : c_.spec_high_lvl;
-    } else if constexpr (PC == PolicyClass::Adaptive) {
+    } else if constexpr (PC == Form::Adaptive) {
       (void)now;
       return s.as_floor_lvl;
     } else {
@@ -231,27 +260,18 @@ class Kernel {
     }
   }
 
-  /// AdaptiveSpecPolicy::on_or_fired, inlined over the per-batch
-  /// remaining-work tables: the identical required_freq + quantize
-  /// arithmetic, storing the level index instead of its frequency.
+  /// AS's OR-node update (AdaptiveSpecPolicy::on_or_fired) over the
+  /// per-batch remaining-work tables, through the shared speculate_level
+  /// rule; the lane keeps the level index instead of its frequency.
   void on_or_fired(LaneScalars& s, std::uint32_t node, int chosen_alt,
                    SimTime now) {
-    if constexpr (PC == PolicyClass::Adaptive) {
-      const SimTime horizon = c_.deadline - now;
+    if constexpr (PC == Form::Adaptive) {
       const SimTime* alt = ws_.as_alt[node];
       const SimTime rem = (chosen_alt >= 0 && alt != nullptr)
                               ? alt[static_cast<std::size_t>(chosen_alt)]
                               : ws_.as_rem_after[node];
-      const Freq desired = required_freq(c_.f_max, rem, horizon);
-      const std::size_t idx =
-          c_.rounding == PolicyOptions::SpecRounding::Up
-              ? c_.table->quantize_up(desired)
-              : c_.table->quantize_down(desired);
-      // Normalize to the first level of this frequency — the index
-      // quantize_up(max(gss, floor)) would land on (identity unless the
-      // table carries duplicate frequencies).
       s.as_floor_lvl = static_cast<std::uint32_t>(
-          c_.table->quantize_up(c_.levels[idx].freq));
+          speculate_level(*c_.table, rem, c_.deadline - now, c_.rounding));
     } else {
       (void)s;
       (void)node;
@@ -333,7 +353,7 @@ class Kernel {
   /// the lane has no outstanding completions left afterwards.
   bool step(LaneView& v, LaneScalars& s) {
     const std::uint32_t n = s.ev_n;
-    const std::uint32_t mi = engine_core::completion_min(v.ev_finish,
+    const std::uint32_t mi = completion_min(v.ev_finish,
                                                          v.ev_seq, n);
     const SimTime finish{v.ev_finish[mi]};
     const std::uint64_t m = v.ev_meta[mi];
@@ -341,15 +361,15 @@ class Kernel {
     v.ev_seq[mi] = v.ev_seq[n - 1];
     v.ev_meta[mi] = v.ev_meta[n - 1];
     s.ev_n = n - 1;
-    on_completion(v, s, engine_core::completion_cpu(m),
-                  engine_core::completion_node(m), finish);
+    on_completion(v, s, completion_cpu(m),
+                  completion_node(m), finish);
     return s.ev_n != 0;
   }
 
   void finalize(LaneView& v, std::size_t l);
 };
 
-template <PolicyClass PC, bool kCounters, bool kTrace>
+template <Form PC, bool kCounters, bool kTrace>
 void Kernel<PC, kCounters, kTrace>::dispatch(LaneView& v, LaneScalars& s,
                                              std::uint32_t cpu_id,
                                              SimTime t) {
@@ -451,7 +471,7 @@ void Kernel<PC, kCounters, kTrace>::dispatch(LaneView& v, LaneScalars& s,
         std::uint32_t walk = flvl;
         while (walk < c_.top_lvl && c_.levels[walk].freq * a < x) ++walk;
         new_lvl = walk;
-        if constexpr (kCounters && PC != PolicyClass::Gss) {
+        if constexpr (kCounters && PC != Form::Greedy) {
           // floor > gss  <=>  ceil(x / a) < floor_freq  <=>
           // x <= a * (floor_freq - 1); the f_max clamp needs no special
           // case since floor_freq - 1 <= f_max - 1.
@@ -466,7 +486,7 @@ void Kernel<PC, kCounters, kTrace>::dispatch(LaneView& v, LaneScalars& s,
         spec = floor > gss;
       }
       if constexpr (kCounters) {
-        if (PC != PolicyClass::Gss && spec) ++v.cnt->spec_picks;
+        if (PC != Form::Greedy && spec) ++v.cnt->spec_picks;
         else ++v.cnt->greedy_picks;
       }
 
@@ -538,7 +558,7 @@ void Kernel<PC, kCounters, kTrace>::dispatch(LaneView& v, LaneScalars& s,
       const std::uint32_t k = s.ev_n++;
       v.ev_finish[k] = finish.ps;
       v.ev_seq[k] = s.seq++;
-      v.ev_meta[k] = engine_core::completion_meta(cpu_id, idv);
+      v.ev_meta[k] = completion_meta(cpu_id, idv);
     }
 
     // Figure 2 step 5: if another processor sleeps and the (new) head is
@@ -548,7 +568,7 @@ void Kernel<PC, kCounters, kTrace>::dispatch(LaneView& v, LaneScalars& s,
   }
 }
 
-template <PolicyClass PC, bool kCounters, bool kTrace>
+template <Form PC, bool kCounters, bool kTrace>
 void Kernel<PC, kCounters, kTrace>::finalize(LaneView& v, std::size_t l) {
   LaneScalars& s = ws_.lane[l];
   PASERTA_ASSERT(s.ready_n == 0, "simulation ended with ready work");
@@ -578,8 +598,8 @@ void Kernel<PC, kCounters, kTrace>::finalize(LaneView& v, std::size_t l) {
   {
     // The canonical ledger fold (see sim/engine.cpp): busy and compute
     // terms per touched level ascending into two accumulators, non-zero
-    // transition pairs ascending, then idle — bitwise the scalar engine's
-    // end-of-run energies.
+    // transition pairs ascending, then idle — bitwise attribution_energy()
+    // over this lane's exported ledger.
     const std::span<const Energy> power = c_.power;
     const double switch_sec = c_.switch_time.sec();
     double busy = 0.0;
@@ -610,7 +630,8 @@ void Kernel<PC, kCounters, kTrace>::finalize(LaneView& v, std::size_t l) {
   }
 
   if (c_.opt->audit) {
-    // Integer time conservation, exactly as the scalar engine checks it.
+    // Integer time conservation: every energy-bearing picosecond the
+    // ledger attributes must come from a processor's busy time — exactly.
     std::uint64_t ledger_ps = 0;
     for (std::size_t lv = 0; lv < c_.power.size(); ++lv)
       ledger_ps += v.busy_ps[lv] + v.compute_ps[lv];
@@ -658,7 +679,7 @@ void Kernel<PC, kCounters, kTrace>::finalize(LaneView& v, std::size_t l) {
   c_.results[l] = std::move(r);
 }
 
-template <PolicyClass PC, bool kCounters, bool kTrace>
+template <Form PC, bool kCounters, bool kTrace>
 void Kernel<PC, kCounters, kTrace>::run(std::size_t nlanes) {
   // Event loop over the compacted active-lane list. Each lane turn drains
   // up to kTurnBudget completion events with the lane's row pointers held
@@ -709,12 +730,12 @@ void Kernel<PC, kCounters, kTrace>::run(std::size_t nlanes) {
   }
 }
 
-template <PolicyClass PC, bool kC, bool kT>
+template <Form PC, bool kC, bool kT>
 void run_kernel(const BatchCtx& ctx, BatchWorkspace& ws, std::size_t lanes) {
   Kernel<PC, kC, kT>(ctx, ws).run(lanes);
 }
 
-template <PolicyClass PC>
+template <Form PC>
 void run_class(const BatchCtx& ctx, BatchWorkspace& ws, std::size_t lanes,
                bool counters, bool trace) {
   if (counters) {
@@ -726,27 +747,12 @@ void run_class(const BatchCtx& ctx, BatchWorkspace& ws, std::size_t lanes,
   }
 }
 
-/// The level index whose frequency AdaptiveSpecPolicy::reset /
-/// speculate_level_freq picks (the policy stores the frequency; the kernel
-/// keeps the index, normalized to the first level of that frequency).
-std::uint32_t speculate_level_idx(const PowerModel& pm, SimTime work,
-                                  SimTime horizon,
-                                  PolicyOptions::SpecRounding rounding) {
-  const LevelTable& t = pm.table();
-  const Freq desired = required_freq(t.f_max(), work, horizon);
-  const std::size_t idx = rounding == PolicyOptions::SpecRounding::Up
-                              ? t.quantize_up(desired)
-                              : t.quantize_down(desired);
-  return static_cast<std::uint32_t>(t.quantize_up(t.level(idx).freq));
-}
-
 }  // namespace
 
 void simulate_batch(const Application& app, const OfflineResult& off,
                     const PowerModel& pm, const Overheads& overheads,
-                    Scheme scheme, const PolicyOptions& popt,
-                    const ScenarioBatch& batch, std::size_t lanes,
-                    BatchWorkspace& ws, SimResult* results,
+                    const SpeedPolicy& policy, const ScenarioBatch& batch,
+                    std::size_t lanes, BatchWorkspace& ws, SimResult* results,
                     const BatchSimOptions& options) {
   const std::size_t n = app.graph.size();
   PASERTA_REQUIRE(lanes >= 1, "need at least one lane");
@@ -764,11 +770,12 @@ void simulate_batch(const Application& app, const OfflineResult& off,
                   "pass per-lane cells or a shared cell, not both");
 
   // Everything up to the run_class dispatch is per-batch setup (derived
-  // tables, policy devirtualization, per-lane slab reset); the dispatch
+  // tables, the policy's rule, per-lane slab reset); the dispatch
   // loop itself is the drain. Both phases are profiler-charged when the
   // caller wired one up (harness batch.setup / batch.drain).
   const bool trace = options.record_trace;
-  PolicyClass pc = PolicyClass::Static;
+  const SpeedRule rule = policy.rule();
+  const Form pc = rule.form;
   BatchCtx ctx;
   {
   ProfScope setup_scope(options.prof, options.ph_setup, options.slot);
@@ -789,7 +796,7 @@ void simulate_batch(const Application& app, const OfflineResult& off,
   ctx.ncpus = static_cast<std::uint32_t>(off.cpus());
   ctx.top_lvl = static_cast<std::uint32_t>(pm.table().size() - 1);
   ctx.nwords = static_cast<std::uint32_t>((n + 63) / 64);
-  ctx.rounding = popt.spec_rounding;
+  ctx.rounding = rule.rounding;
   ctx.scen = &batch;
   ctx.pm = &pm;
   ctx.opt = &options;
@@ -797,45 +804,25 @@ void simulate_batch(const Application& app, const OfflineResult& off,
 
   // The ready bitmap indexes by execution order, so every EO must fall in
   // [0, n). The offline pass assigns EO as a schedule position (OR
-  // alternatives share a range), so this holds for every valid result.
-  for (std::uint32_t v = 0; v < n; ++v)
-    PASERTA_REQUIRE(ctx.eo[v] < n, "execution order out of range for '"
-                                       << ctx.nodes[v].name << "'");
+  // alternatives share a range), so this holds for every valid result;
+  // max_eo() is one past the largest EO it assigned.
+  PASERTA_REQUIRE(off.max_eo() <= n, "execution order out of range: "
+                                         << off.max_eo() << " for " << n
+                                         << " nodes");
 
-  // Devirtualize the policy: build and reset the real object once per
-  // batch (legal because every non-adaptive policy's post-reset state is a
-  // pure function of (off, pm) — identical for every run — and the
-  // adaptive floor is re-derived per lane below).
-  const auto policy = make_policy(scheme, popt);
-  policy->reset(off, pm);
-  const bool dynamic = policy->kind() == SpeedPolicy::Kind::Dynamic;
-  ctx.initial_level =
-      dynamic ? pm.table().size() - 1 : policy->static_level();
-  switch (scheme) {
-    case Scheme::NPM:
-    case Scheme::SPM:
-      pc = PolicyClass::Static;
-      break;
-    case Scheme::GSS:
-      pc = PolicyClass::Gss;
-      break;
-    case Scheme::SS1:
-    case Scheme::SS2: {
-      pc = PolicyClass::StaticSpec;
-      const auto& sp = static_cast<const StaticSpecPolicy&>(*policy);
-      ctx.spec_low_lvl =
-          static_cast<std::uint32_t>(pm.table().quantize_up(sp.f_low()));
-      ctx.spec_high_lvl =
-          static_cast<std::uint32_t>(pm.table().quantize_up(sp.f_high()));
-      ctx.spec_theta_ps = sp.theta().ps;
-      break;
-    }
-    case Scheme::AS:
-      pc = PolicyClass::Adaptive;
-      ctx.as_floor0_lvl = speculate_level_idx(pm, off.average_makespan(),
-                                              off.deadline(), popt.spec_rounding);
-      break;
-  }
+  // The policy's rule, as level indices. Every lane starts from the same
+  // reset state: the rule of a non-adaptive policy is a pure function of
+  // (off, pm), and the adaptive floor is per-lane state from here on.
+  const LevelTable& table = pm.table();
+  ctx.initial_level = pc == Form::Static ? rule.level : table.size() - 1;
+  PASERTA_REQUIRE(ctx.initial_level < table.size(),
+                  "policy '" << policy.name() << "' level "
+                             << ctx.initial_level << " out of range for table '"
+                             << table.name() << "'");
+  ctx.spec_low_lvl = static_cast<std::uint32_t>(table.quantize_up(rule.f_low));
+  ctx.spec_high_lvl =
+      static_cast<std::uint32_t>(table.quantize_up(rule.f_high));
+  ctx.spec_theta_ps = rule.theta.ps;
 
   const std::size_t nlevels = pm.table().size();
   ws.ensure(lanes, n, static_cast<std::size_t>(off.cpus()), nlevels, trace);
@@ -848,9 +835,9 @@ void simulate_batch(const Application& app, const OfflineResult& off,
   if (ws.dt_key != ctx.levels.data() ||
       ws.dt_cycles != overheads.speed_compute_cycles) {
     ws.dt_compute.resize(nlevels);
-    engine_core::build_compute_table(overheads.speed_compute_cycles,
-                                     ctx.levels.data(), nlevels,
-                                     ws.dt_compute.data());
+    for (std::size_t lv = 0; lv < nlevels; ++lv)
+      ws.dt_compute[lv] =
+          cycles_to_time(overheads.speed_compute_cycles, ctx.levels[lv].freq);
     ws.level_div.resize(nlevels);
     for (std::size_t lv = 0; lv < nlevels; ++lv) {
       const Freq f = ctx.levels[lv].freq;
@@ -865,30 +852,29 @@ void simulate_batch(const Application& app, const OfflineResult& off,
     ws.dt_key = ctx.levels.data();
     ws.dt_cycles = overheads.speed_compute_cycles;
   }
-  ws.fwork.resize(n);
-  ws.fwork_fits = true;
-  const std::uint64_t wcet_limit = ~std::uint64_t{0} / ctx.f_max;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const std::uint64_t w = static_cast<std::uint64_t>(ctx.wcet[v].ps);
-    if (w > wcet_limit) {
-      ws.fwork_fits = false;
-      ws.fwork[v] = 0;
-    } else {
-      ws.fwork[v] = w * ctx.f_max;
+  if (pc != Form::Static) {  // only dynamic speed choices read fwork
+    ws.fwork.resize(n);
+    ws.fwork_fits = true;
+    const std::uint64_t wcet_limit = ~std::uint64_t{0} / ctx.f_max;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      const std::uint64_t w = static_cast<std::uint64_t>(ctx.wcet[v].ps);
+      if (w > wcet_limit) {
+        ws.fwork_fits = false;
+        ws.fwork[v] = 0;
+      } else {
+        ws.fwork[v] = w * ctx.f_max;
+      }
     }
   }
-  // Initial ready-set templates: source bits and their EO -> node entries,
-  // copied verbatim into each lane below.
+  // Initial ready-set template: the source bits, copied verbatim into each
+  // lane below together with their EO -> node entries.
   ws.ready_init_words.assign(ctx.nwords, 0);
-  ws.ready_init_nodes.assign(n, 0);
-  const std::uint32_t init_ready_n =
-      static_cast<std::uint32_t>(off.source_table().size());
-  for (const std::uint32_t v : off.source_table()) {
+  const std::span<const std::uint32_t> sources = off.source_table();
+  for (const std::uint32_t v : sources) {
     const std::uint32_t eo = ctx.eo[v];
     ws.ready_init_words[eo >> 6] |= std::uint64_t{1} << (eo & 63);
-    ws.ready_init_nodes[eo] = v;
   }
-  if (pc == PolicyClass::Adaptive) {
+  if (pc == Form::Adaptive) {
     // Per-node expected-remaining-work tables: hoists rem_a_after()'s and
     // the fork-profile hash lookups out of the event path.
     ws.as_rem_after.assign(n, SimTime::zero());
@@ -902,7 +888,7 @@ void simulate_batch(const Application& app, const OfflineResult& off,
     }
   }
 
-  // Per-lane reset (the scalar engine's per-run reset, amortized: the
+  // Per-lane reset (the per-run reset, amortized: the
   // ready set's initial content and the initial level are batch
   // constants, computed once and copied per lane).
   for (std::size_t l = 0; l < lanes; ++l) {
@@ -925,15 +911,15 @@ void simulate_batch(const Application& app, const OfflineResult& off,
         trans_row[tt[i]] = 0;
     }
     s = BatchWorkspace::LaneScalars{};
-    s.ready_n = init_ready_n;
-    if (pc == PolicyClass::Adaptive) s.as_floor_lvl = ctx.as_floor0_lvl;
+    s.ready_n = static_cast<std::uint32_t>(sources.size());
+    if (pc == Form::Adaptive) s.as_floor_lvl = ctx.spec_high_lvl;
     std::memcpy(ws.nup.data() + l * ws.sn, ctx.nup_init.data(),
                 n * sizeof(std::uint32_t));
     std::memcpy(ws.ready_words.data() + l * ws.sw,
                 ws.ready_init_words.data(),
                 ctx.nwords * sizeof(std::uint64_t));
-    std::memcpy(ws.ready_node.data() + l * ws.sn,
-                ws.ready_init_nodes.data(), n * sizeof(std::uint32_t));
+    std::uint32_t* node_row = ws.ready_node.data() + l * ws.sn;
+    for (const std::uint32_t v : sources) node_row[ctx.eo[v]] = v;
     std::uint32_t* lvlrow = ws.cpu_level.data() + l * ws.sc;
     std::uint8_t* sleeprow = ws.cpu_sleep.data() + l * ws.sc;
     std::int64_t* busyrow = ws.cpu_busy.data() + l * ws.sc;
@@ -950,19 +936,31 @@ void simulate_batch(const Application& app, const OfflineResult& off,
       options.lane_cells != nullptr || options.shared_cell != nullptr;
   ProfScope drain_scope(options.prof, options.ph_drain, options.slot);
   switch (pc) {
-    case PolicyClass::Static:
-      run_class<PolicyClass::Static>(ctx, ws, lanes, counters, trace);
+    case Form::Static:
+      run_class<Form::Static>(ctx, ws, lanes, counters, trace);
       break;
-    case PolicyClass::Gss:
-      run_class<PolicyClass::Gss>(ctx, ws, lanes, counters, trace);
+    case Form::Greedy:
+      run_class<Form::Greedy>(ctx, ws, lanes, counters, trace);
       break;
-    case PolicyClass::StaticSpec:
-      run_class<PolicyClass::StaticSpec>(ctx, ws, lanes, counters, trace);
+    case Form::StaticSpec:
+      run_class<Form::StaticSpec>(ctx, ws, lanes, counters, trace);
       break;
-    case PolicyClass::Adaptive:
-      run_class<PolicyClass::Adaptive>(ctx, ws, lanes, counters, trace);
+    case Form::Adaptive:
+      run_class<Form::Adaptive>(ctx, ws, lanes, counters, trace);
       break;
   }
+}
+
+void simulate_batch(const Application& app, const OfflineResult& off,
+                    const PowerModel& pm, const Overheads& overheads,
+                    Scheme scheme, const PolicyOptions& popt,
+                    const ScenarioBatch& batch, std::size_t lanes,
+                    BatchWorkspace& ws, SimResult* results,
+                    const BatchSimOptions& options) {
+  const auto policy = make_policy(scheme, popt);
+  policy->reset(off, pm);
+  simulate_batch(app, off, pm, overheads, *policy, batch, lanes, ws, results,
+                 options);
 }
 
 }  // namespace paserta

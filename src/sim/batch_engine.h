@@ -1,33 +1,33 @@
-// Batched SoA simulation engine: B scenarios of one compiled graph in
-// lockstep (DESIGN.md §14).
+// The simulation kernel: the paper's online dispatch loop (§3.2, Figure 2)
+// with each scheme's speed choice (§3-4), run over B scenarios of one
+// compiled graph in lockstep (DESIGN.md §14). It is the only dispatch
+// loop in the library: simulate() (sim/engine.h) is this kernel at one
+// lane.
 //
-// The Monte-Carlo harness evaluates thousands of independent runs of the
-// *same* (application, offline result, power model, scheme) tuple; the
-// scalar engine pays the whole per-run fixed cost — policy construction
-// and reset, input validation, virtual policy dispatch, per-level
-// overhead-table derivation — once per simulation. simulate_batch pays it
-// once per *batch* and keeps all per-run mutable state in lane-major
+// Identical processors share a global ready queue kept in canonical
+// execution order (EO). Each idle processor tries to dequeue the head; a
+// computation node may be taken only when its EO equals the next expected
+// order NEO (OR nodes may jump ahead — their EO skips untaken
+// alternatives). Processors that find the head non-dispatchable sleep and
+// are signalled when new work at the head becomes dispatchable. Dummy
+// AND/OR nodes execute in zero time on the dispatching processor. For
+// computation nodes the kernel charges the speed-computation overhead,
+// picks the policy's level (greedy slack reclamation against the task's
+// estimated end time EET, optionally raised to a speculative floor),
+// charges a voltage transition when the level changes, and runs the task
+// for actual_time * f_max / f. Energy is integrated over [0, deadline].
+//
+// Every per-run fixed cost — input validation, the policy's rule, the
+// per-level overhead and reciprocal tables, the initial ready set — is
+// paid once per call, and all per-run mutable state lives in lane-major
 // structure-of-arrays slabs (64-byte aligned, one contiguous row per
-// lane): NUP counters, ready-queue keys, outstanding-completion keys,
-// per-CPU levels and busy clocks, and the energy-attribution ledger. The
-// dispatch loop walks the lanes in lockstep — one completion event per
-// active lane per round — with a compacted active-lane list, so divergent
-// lanes (different OR outcomes, staggered completions) simply retire from
-// the list early; shared read-only tables (EO/EET/WCET/CSR successors,
-// level powers, the precomputed per-level compute-overhead table) stay hot
-// across every lane.
-//
-// The scalar engine remains the oracle: simulate_batch reproduces
-// SimResult energies, degenerate flags, counters and the attribution
-// ledger run-for-run, bit-identical. Per-lane work is the identical
-// integer arithmetic in the identical order; the only floating-point —
-// the end-of-run ledger fold — is the same canonical fold over the same
-// sorted touched-entry lists. Scenarios arrive through a ScenarioBatch
-// slab filled lane-by-lane from each run's own Rng stream, so the RNG
-// contract is untouched. Policies are devirtualized per scheme class
-// (static / GSS / static-speculation / adaptive); their parameters are
-// extracted from a freshly reset real policy object, and the adaptive
-// floor is per-lane state updated by the same OR-fire rule.
+// lane): NUP counters, the ready set, outstanding completions, per-CPU
+// levels and busy clocks, and the energy-attribution ledger. Lanes are
+// independent and every per-lane step is exact integer arithmetic, so a
+// lane's result does not depend on the lane count; the end-of-run energy
+// is the canonical ledger fold shared with attribution_energy(). The
+// tests check the kernel against a deliberately simple reference engine
+// (tests/reference_engine.h) that shares none of this code.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +39,41 @@
 #include "graph/program.h"
 #include "obs/metrics.h"
 #include "power/power_model.h"
-#include "sim/engine.h"
 #include "sim/sampler.h"
 
 namespace paserta {
 
-/// Batch-wide simulation knobs (the batched analogue of SimOptions).
+/// Trace record of one dispatched node.
+struct TaskRecord {
+  NodeId node;
+  int cpu = -1;
+  std::uint32_t eo = 0;
+  SimTime dispatch_time{};  // when dequeued (Figure 2 step 4)
+  SimTime exec_start{};     // after overheads
+  SimTime finish{};
+  std::size_t level = 0;        // level index the task ran at
+  std::size_t level_before = 0; // processor's level at dispatch time
+  bool switched = false;        // a voltage transition was charged
+  int chosen_alt = -1;      // OR forks: selected alternative
+};
+
+/// Result of one simulated run of one scheme.
+struct SimResult {
+  Energy busy_energy = 0.0;        // task execution
+  Energy overhead_energy = 0.0;    // speed computation + transitions
+  Energy idle_energy = 0.0;        // idle/sleep until the deadline
+  SimTime finish_time{};
+  std::uint32_t speed_changes = 0;
+  std::uint32_t dispatched = 0;
+  bool deadline_met = false;
+  std::vector<TaskRecord> trace;   // empty unless traces were recorded
+
+  Energy total_energy() const {
+    return busy_energy + overhead_energy + idle_energy;
+  }
+};
+
+/// Batch-wide simulation knobs.
 struct BatchSimOptions {
   /// Record one TaskRecord per dispatched node into each lane's
   /// SimResult::trace (audit mode needs per-run traces).
@@ -53,9 +82,9 @@ struct BatchSimOptions {
   /// time-conservation invariant at every lane's end of run.
   bool audit = false;
   /// Per-lane telemetry cells, an array of at least `lanes` entries: lane
-  /// l's counters and ledger are exported into lane_cells[l] exactly as
-  /// the scalar engine exports into SimOptions::counters. Null = see
-  /// shared_cell.
+  /// l's dispatch counts, DVS activity, reclaimed slack and attribution
+  /// ledger are added into lane_cells[l] (plain accumulation: the cells
+  /// must be owned by the calling thread). Null = see shared_cell.
   SimCounters* lane_cells = nullptr;
   /// Shared telemetry cell used when lane_cells is null: all lanes export
   /// into it in lane order (integer adds — totals match per-run export).
@@ -104,7 +133,7 @@ class BatchWorkspace {
   // Per-lane node state. The ready set is a bitmap over execution order:
   // on any single run path EO values are unique (EO ranges only overlap
   // across mutually exclusive OR alternatives), so "lowest set bit" is
-  // exactly the scalar engine's sorted-key pop order, with O(1) insert.
+  // exactly the sorted (EO, id) pop order, with O(1) insert.
   // ready_node maps a set bit's EO back to its node id; entries are
   // written at insert time, so a stale value is never read.
   Slab<std::uint32_t> nup;          // [lanes][sn]
@@ -147,10 +176,9 @@ class BatchWorkspace {
   std::vector<std::vector<TaskRecord>> traces;
 
   // --- Batch-shared derived tables, cached across simulate_batch calls
-  // on the identity of their inputs (same discipline as SimWorkspace's
-  // dt_compute cache). ---
+  // on the identity of their inputs. ---
 
-  // Per-level speed-computation overhead (engine_core::build_compute_table).
+  // Per-level speed-computation overhead cycles_to_time(cycles, freq).
   std::vector<SimTime> dt_compute;
   const void* dt_key = nullptr;
   std::uint32_t dt_cycles = 0;
@@ -171,20 +199,27 @@ class BatchWorkspace {
   bool fwork_fits = true;
   std::uint64_t avail_limit = 0;  // max avail with freq * avail in u64
   std::uint64_t actual_limit = 0; // max actual with actual*f_max+den-1 in u64
-  // Initial ready-set templates (source nodes, copied per lane) and the
-  // AS remaining-work tables.
+  // Initial ready-set bitmap (source nodes, copied per lane) and the AS
+  // remaining-work tables.
   std::vector<std::uint64_t> ready_init_words;
-  std::vector<std::uint32_t> ready_init_nodes;
   std::vector<SimTime> as_rem_after;   // per-node E[remaining] (AS)
   std::vector<const SimTime*> as_alt;  // per-node fork alt table (AS)
 };
 
-/// Simulates `lanes` scenarios of one scheme in lockstep, writing one
-/// SimResult per lane into `results` (an array of at least `lanes`
-/// entries). Lane l consumes row l of `batch`; outputs are bit-identical
-/// to scalar simulate() on the same scenario with a policy built by
-/// make_policy(scheme, popt) and reset once. `off` must match `app` as
-/// for simulate().
+/// Simulates `lanes` scenarios under `policy`'s rule in lockstep, writing
+/// one SimResult per lane into `results` (an array of at least `lanes`
+/// entries). Lane l consumes row l of `batch`. The policy must have been
+/// reset against (off, pm); the kernel reads its rule() once and never
+/// calls or modifies it, so every lane starts from that reset state. `off`
+/// must come from analyze_offline on the same application with the same
+/// CPU count.
+void simulate_batch(const Application& app, const OfflineResult& off,
+                    const PowerModel& pm, const Overheads& overheads,
+                    const SpeedPolicy& policy, const ScenarioBatch& batch,
+                    std::size_t lanes, BatchWorkspace& ws, SimResult* results,
+                    const BatchSimOptions& options = {});
+
+/// Convenience: make_policy(scheme, popt), reset it, and simulate.
 void simulate_batch(const Application& app, const OfflineResult& off,
                     const PowerModel& pm, const Overheads& overheads,
                     Scheme scheme, const PolicyOptions& popt,

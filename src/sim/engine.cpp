@@ -1,24 +1,22 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <functional>
 #include <span>
 
 #include "common/error.h"
-#include "sim/engine_core.h"
 
 namespace paserta {
 namespace {
 
 /// The canonical ledger-to-joules fold is: per-level busy times ascending,
 /// per-level compute times ascending, then non-zero transition pairs in
-/// ascending flat index (== row-major) order, then idle. Both the engine's
-/// end-of-run energy computation and the public attribution_energy() build
-/// their sums from these pieces in that order, so an exported ledger folds
-/// back to the engine's energies bit-for-bit by construction. The engine
-/// walks its sorted touched-entry list instead of scanning the L x L
-/// matrix — the visit sequence (the non-zero entries, ascending) and hence
-/// the FP sum are identical.
+/// ascending flat index (== row-major) order, then idle. Both the kernel's
+/// end-of-run energy computation (sim/batch_engine.cpp) and the public
+/// attribution_energy() build their sums from these pieces in that order,
+/// so an exported ledger folds back to the kernel's energies bit-for-bit
+/// by construction. The kernel walks its sorted touched-entry lists
+/// instead of scanning the L x L matrix — the visit sequence (the non-zero
+/// entries, ascending) and hence the FP sum are identical.
 double fold_levels(std::span<const std::uint64_t> ps,
                    std::span<const Energy> power) {
   double joules = 0.0;
@@ -55,550 +53,6 @@ EnergySplit fold_ledger(std::span<const std::uint64_t> busy_ps,
   if (idle_ps != 0)
     split.idle = pm.idle_energy(SimTime{static_cast<std::int64_t>(idle_ps)});
   return split;
-}
-
-/// Number of nodes on the taken path, computed with workspace scratch so
-/// the debug completeness check allocates nothing in steady state. Same
-/// closure as executed_set(), counting instead of materializing; the NUP
-/// initialization comes from the offline result's precomputed table
-/// (shared with the engine's own per-run reset).
-std::uint32_t count_executed(const AndOrGraph& g, const RunScenario& sc,
-                             const std::vector<std::uint32_t>& nup_init,
-                             const std::vector<std::uint32_t>& sources,
-                             SimWorkspace& ws) {
-  ws.reach_nup = nup_init;
-  ws.reached.assign(g.size(), 0);
-  ws.reach_stack.assign(sources.begin(), sources.end());
-  const std::span<const Node> nodes = g.nodes();
-  std::uint32_t count = 0;
-  while (!ws.reach_stack.empty()) {
-    const NodeId id{ws.reach_stack.back()};
-    ws.reach_stack.pop_back();
-    if (ws.reached[id.value]) continue;
-    ws.reached[id.value] = 1;
-    ++count;
-    const Node& node = nodes[id.value];
-    if (node.is_or_fork()) {
-      const int chosen = sc.choice_of(id);
-      ws.reach_stack.push_back(
-          node.succs[static_cast<std::size_t>(chosen)].value);
-    } else {
-      for (NodeId s : node.succs) {
-        if (ws.reach_nup[s.value] > 0 && --ws.reach_nup[s.value] == 0)
-          ws.reach_stack.push_back(s.value);
-      }
-    }
-  }
-  return count;
-}
-
-class Engine {
- public:
-  Engine(const Application& app, const OfflineResult& off, const PowerModel& pm,
-         const Overheads& ovh, SpeedPolicy& policy, const RunScenario& sc,
-         SimWorkspace& ws, const SimOptions& opt)
-      : app_(app),
-        g_(app.graph),
-        nodes_(app.graph.nodes()),
-        eo_(off.eo_table()),
-        eet_(off.eet_table()),
-        nup_init_(off.nup_init_table()),
-        flags_(off.node_flag_table()),
-        wcet_(off.wcet_table()),
-        succ_off_(off.succ_offset_table()),
-        succ_flat_(off.succ_list_table()),
-        levels_(pm.table().levels()),
-        power_(pm.level_powers()),
-        f_max_(pm.table().f_max()),
-        dynamic_(policy.kind() == SpeedPolicy::Kind::Dynamic),
-        trace_(opt.record_trace),
-        ctr_(opt.counters),
-        off_(off),
-        pm_(pm),
-        ovh_(ovh),
-        policy_(policy),
-        sc_(sc),
-        ws_(ws),
-        opt_(opt) {}
-
-  SimResult run();
-
- private:
-  using Cpu = SimWorkspace::Cpu;
-
-  void dispatch(int cpu, SimTime t);
-  void on_completion(int cpu, NodeId node, SimTime t);
-  // First write to a level's ledger entry this run records it in the
-  // touched list, so the per-run reset and the fold walk a handful of
-  // levels instead of the whole table.
-  void touch_level(std::size_t l) {
-    if (!ws_.level_touched[l]) {
-      ws_.level_touched[l] = 1;
-      ws_.touched_levels.push_back(static_cast<std::uint32_t>(l));
-    }
-  }
-  void enqueue_ready(NodeId id);
-  std::pair<std::uint32_t, std::uint32_t> pop_ready();
-  void release_successors(NodeId id);
-  bool head_dispatchable() const;
-  void wake_one(SimTime t);
-
-  const Application& app_;
-  const AndOrGraph& g_;
-  // simulate() validates that scenario and offline data match the graph,
-  // so the per-dispatch paths below index unchecked. The dispatch loop
-  // reads only the flat per-node tables (flags/WCET/CSR successors) and the
-  // precomputed per-level powers; the Node structs are touched solely by
-  // failed-assertion messages.
-  const std::span<const Node> nodes_;
-  const std::span<const std::uint32_t> eo_;
-  const std::span<const SimTime> eet_;
-  const std::span<const std::uint32_t> nup_init_;
-  const std::span<const std::uint8_t> flags_;
-  const std::span<const SimTime> wcet_;
-  const std::span<const std::uint32_t> succ_off_;
-  const std::span<const std::uint32_t> succ_flat_;
-  const std::span<const Level> levels_;
-  const std::span<const Energy> power_;
-  const Freq f_max_;
-  const bool dynamic_;  // policy_.kind(), resolved once per run
-  const bool trace_;    // opt_.record_trace, hoisted out of the loop
-  SimCounters* const ctr_;  // opt_.counters, null = no telemetry
-  const OfflineResult& off_;
-  const PowerModel& pm_;
-  const Overheads& ovh_;
-  SpeedPolicy& policy_;
-  const RunScenario& sc_;
-  SimWorkspace& ws_;
-  const SimOptions& opt_;
-
-  std::uint32_t neo_ = 0;
-  std::uint64_t seq_ = 0;
-  // Inline run accounting (replaces the post-run closure traversal):
-  // activated_ counts nodes that received their first NUP decrement (or
-  // were force-readied by their OR fork), completed_ those whose NUP
-  // reached zero. activated_ == completed_ at the end of the run — together
-  // with an empty ready queue — certifies that exactly the taken path was
-  // dispatched; a gap means a node was partially released and the run
-  // deadlocked.
-  std::uint32_t activated_ = 0;
-  std::uint32_t completed_ = 0;
-
-  SimResult result_;
-  SimTime last_activity_{};
-};
-
-void Engine::enqueue_ready(NodeId id) {
-  // Shared flat-key insert (engine_core): one u64 compare reproduces the
-  // (eo, id) lexicographic order of the pair vector this replaces.
-  auto& q = ws_.ready;
-  q.push_back(0);  // grow; ready_insert writes every moved slot
-  std::uint32_t n = static_cast<std::uint32_t>(q.size()) - 1;
-  engine_core::ready_insert(q.data(), n,
-                            engine_core::ready_key(eo_[id.value], id.value));
-}
-
-std::pair<std::uint32_t, std::uint32_t> Engine::pop_ready() {
-  const std::uint64_t head = ws_.ready.back();
-  ws_.ready.pop_back();
-  return {engine_core::ready_key_eo(head), engine_core::ready_key_id(head)};
-}
-
-void Engine::release_successors(NodeId id) {
-  const std::uint32_t begin = succ_off_[id.value];
-  const std::uint32_t end = succ_off_[id.value + 1];
-  for (std::uint32_t k = begin; k < end; ++k) {
-    const std::uint32_t sv = succ_flat_[k];
-    std::uint32_t& nup = ws_.nup[sv];
-    PASERTA_ASSERT(nup > 0,
-                   "NUP underflow at node '" << nodes_[sv].name << "'");
-    if (nup == nup_init_[sv]) ++activated_;
-    if (--nup == 0) {
-      ++completed_;
-      enqueue_ready(NodeId{sv});
-    }
-  }
-}
-
-bool Engine::head_dispatchable() const {
-  if (ws_.ready.empty()) return false;
-  const std::uint64_t head = ws_.ready.back();  // minimum of the sorted queue
-  const std::uint32_t eo = engine_core::ready_key_eo(head);
-  if (eo == neo_) return true;
-  // OR nodes may jump NEO forward past the EOs of untaken alternatives.
-  return (flags_[engine_core::ready_key_id(head)] & kNodeFlagOrNode) != 0 &&
-         eo > neo_;
-}
-
-void Engine::wake_one(SimTime t) {
-  if (!head_dispatchable()) return;
-  for (int c = 0; c < static_cast<int>(ws_.cpus.size()); ++c) {
-    if (ws_.cpus[c].sleeping) {
-      ws_.cpus[c].sleeping = false;
-      dispatch(c, t);
-      return;
-    }
-  }
-}
-
-void Engine::dispatch(int cpu_id, SimTime t) {
-  Cpu& cpu = ws_.cpus[static_cast<std::size_t>(cpu_id)];
-  for (;;) {
-    if (!head_dispatchable()) {
-      cpu.sleeping = true;  // Figure 2 step 3: wait()
-      return;
-    }
-    const auto [eo, idv] = pop_ready();
-    const NodeId id{idv};
-    const std::uint8_t flags = flags_[idv];
-    PASERTA_ASSERT(eo >= neo_, "execution order went backwards");
-    neo_ = eo + 1;  // Figure 2 steps 4 & 7
-    ++result_.dispatched;
-    if (ctr_) ++ctr_->dispatches;
-    last_activity_ = std::max(last_activity_, t);
-
-    if (flags & kNodeFlagDummy) {
-      int chosen_alt = -1;
-      if (flags & kNodeFlagOrFork) {
-        const int chosen = sc_.or_choice[idv];
-        PASERTA_ASSERT(
-            chosen >= 0 && succ_off_[idv] + static_cast<std::uint32_t>(
-                               chosen) < succ_off_[idv + 1],
-            "scenario lacks a choice for fork '" << nodes_[idv].name << "'");
-        chosen_alt = chosen;
-        if (ctr_) ++ctr_->or_fires;
-        const std::uint32_t child =
-            succ_flat_[succ_off_[idv] + static_cast<std::uint32_t>(chosen)];
-        std::uint32_t& child_nup = ws_.nup[child];
-        PASERTA_ASSERT(child_nup > 0, "OR fork '"
-                                          << nodes_[idv].name
-                                          << "' re-readied its alternative");
-        // Forcing the chosen alternative ready opens (if untouched) and
-        // closes its activation in one step.
-        if (child_nup == nup_init_[child]) ++activated_;
-        ++completed_;
-        child_nup = 0;
-        enqueue_ready(NodeId{child});
-        if (dynamic_) policy_.on_or_fired(id, chosen, t, off_, pm_);
-      } else {
-        release_successors(id);
-        if ((flags & kNodeFlagOrNode) && dynamic_)
-          policy_.on_or_fired(id, -1, t, off_, pm_);
-      }
-      if (trace_) {
-        TaskRecord rec;
-        rec.node = id;
-        rec.cpu = cpu_id;
-        rec.eo = eo;
-        rec.dispatch_time = rec.exec_start = rec.finish = t;
-        rec.level = rec.level_before = cpu.level;
-        rec.chosen_alt = chosen_alt;
-        ws_.trace.push_back(rec);
-      }
-      continue;  // same processor keeps dispatching at the same instant
-    }
-
-    // ---- Computation node: pick a speed and execute (Figure 2 step 5). --
-    SimTime start = t;
-    const std::size_t lvl_before = cpu.level;
-    std::size_t lvl = lvl_before;
-    bool switched = false;
-
-    if (dynamic_) {
-      // Speed-computation overhead runs at the current frequency — charged
-      // from the workspace's precomputed per-level table (engine_core),
-      // value-identical to the per-dispatch division it replaces.
-      const SimTime dt_compute = ws_.dt_compute[lvl];
-      touch_level(lvl);
-      ws_.compute_ps[lvl] += static_cast<std::uint64_t>(dt_compute.ps);
-      cpu.busy += dt_compute;
-      start += dt_compute;
-
-      // Greedy slack reclamation: the task owns everything up to its
-      // estimated end time EET = LST + inflated WCET. Reserve the switch
-      // overhead before sizing the speed (conservative: the reservation is
-      // kept even if the level ends up unchanged).
-      const SimTime avail = eet_[idv] - start - ovh_.speed_change_time;
-      const Freq gss = required_freq(f_max_, wcet_[idv], avail);
-      const Freq floor = policy_.floor_freq(start);
-      const Freq target = std::max(gss, floor);
-      const std::size_t new_lvl = pm_.table().quantize_up(target);
-      if (ctr_) {
-        // Did the speculative floor override greedy slack reclamation?
-        // (GSS's floor is 0, so it always counts as a greedy pick.)
-        if (floor > gss) ++ctr_->spec_picks;
-        else ++ctr_->greedy_picks;
-      }
-
-      if (new_lvl != lvl) {
-        const std::size_t idx = lvl * power_.size() + new_lvl;
-        if (ws_.transitions[idx]++ == 0)
-          ws_.touched_transitions.push_back(static_cast<std::uint32_t>(idx));
-        cpu.busy += ovh_.speed_change_time;
-        start += ovh_.speed_change_time;
-        ++result_.speed_changes;
-        if (ctr_) ++ctr_->speed_changes;
-        switched = true;
-        lvl = new_lvl;
-        cpu.level = lvl;
-      }
-    }
-
-    const SimTime actual = sc_.actual[idv];
-    PASERTA_ASSERT(actual > SimTime::zero() && actual <= wcet_[idv],
-                   "scenario actual time out of (0, WCET] for '"
-                       << nodes_[idv].name << "'");
-    // scale_time(t, f, f) == t exactly (integer ceil), so running at f_max
-    // — every static NPM dispatch and any dynamic task without slack —
-    // skips the 128-bit division.
-    const Freq freq = levels_[lvl].freq;
-    const SimTime duration =
-        freq == f_max_ ? actual : scale_time(actual, f_max_, freq);
-    const SimTime finish = start + duration;
-    touch_level(lvl);
-    ws_.busy_ps[lvl] += static_cast<std::uint64_t>(duration.ps);
-    cpu.busy += duration;
-    if (ctr_) {
-      ++ctr_->tasks;
-      // Slack actually spent: the extra wall time bought by running below
-      // f_max (zero whenever the task ran at full speed).
-      ctr_->reclaimed_slack_ps +=
-          static_cast<std::uint64_t>((duration - actual).ps);
-    }
-
-    if (trace_) {
-      TaskRecord rec;
-      rec.node = id;
-      rec.cpu = cpu_id;
-      rec.eo = eo;
-      rec.dispatch_time = t;
-      rec.exec_start = start;
-      rec.finish = finish;
-      rec.level = lvl;
-      rec.level_before = lvl_before;
-      rec.switched = switched;
-      ws_.trace.push_back(rec);
-    }
-    ws_.ev_finish.push_back(finish.ps);
-    ws_.ev_seq.push_back(seq_++);
-    ws_.ev_meta.push_back(engine_core::completion_meta(
-        static_cast<std::uint32_t>(cpu_id), idv));
-
-    // Figure 2 step 5: if another processor sleeps and the (new) head is
-    // dispatchable, signal it before executing.
-    wake_one(t);
-    return;
-  }
-}
-
-void Engine::on_completion(int cpu_id, NodeId node, SimTime t) {
-  last_activity_ = std::max(last_activity_, t);
-  release_successors(node);
-  dispatch(cpu_id, t);  // Figure 2 step 6: back to step 1
-}
-
-SimResult Engine::run() {
-  // NUP reset is a single memcpy from the offline result's precomputed
-  // table (OR rule baked in: fire on the first finishing predecessor), and
-  // the initial ready set comes from its precomputed source list — the
-  // per-run walk over the Node structs is gone. Sources are listed in
-  // ascending id order, matching the index loop this replaces.
-  ws_.nup = off_.nup_init_table();
-  ws_.ready.clear();
-  ws_.ev_finish.clear();
-  ws_.ev_seq.clear();
-  ws_.ev_meta.clear();
-  ws_.trace.clear();
-  // Per-level compute-overhead table: a pure function of (overheads,
-  // table), rebuilt only when the workspace meets a different pair.
-  if (ws_.dt_key != levels_.data() ||
-      ws_.dt_cycles != ovh_.speed_compute_cycles) {
-    ws_.dt_compute.resize(levels_.size());
-    engine_core::build_compute_table(ovh_.speed_compute_cycles,
-                                     levels_.data(), levels_.size(),
-                                     ws_.dt_compute.data());
-    ws_.dt_key = levels_.data();
-    ws_.dt_cycles = ovh_.speed_compute_cycles;
-  }
-  // Attribution ledger reset. A run touches only a few levels and a few
-  // transition pairs, so clearing the full tables (an O(L^2) memset for
-  // the transition matrix) would dominate short runs; instead the previous
-  // run's touched entries are zeroed individually — runs abandoned
-  // mid-flight by an exception are cleaned up here too. The full assigns
-  // run only when the workspace first meets this power table.
-  const std::size_t nlevels = power_.size();
-  if (ws_.busy_ps.size() != nlevels) {
-    ws_.busy_ps.assign(nlevels, 0);
-    ws_.compute_ps.assign(nlevels, 0);
-    ws_.level_touched.assign(nlevels, 0);
-  } else {
-    for (const std::uint32_t l : ws_.touched_levels) {
-      ws_.busy_ps[l] = 0;
-      ws_.compute_ps[l] = 0;
-      ws_.level_touched[l] = 0;
-    }
-  }
-  ws_.touched_levels.clear();
-  if (ws_.transitions.size() != nlevels * nlevels) {
-    ws_.transitions.assign(nlevels * nlevels, 0);
-  } else {
-    for (const std::uint32_t idx : ws_.touched_transitions)
-      ws_.transitions[idx] = 0;
-  }
-  ws_.touched_transitions.clear();
-  for (std::uint32_t v : off_.source_table()) enqueue_ready(NodeId{v});
-
-  const std::size_t initial_level =
-      dynamic_ ? pm_.table().size() - 1  // dynamic schemes power up at f_max
-               : policy_.static_level();
-  ws_.cpus.assign(static_cast<std::size_t>(off_.cpus()),
-                  Cpu{initial_level, false, SimTime::zero()});
-
-  for (int c = 0; c < off_.cpus(); ++c) {
-    if (!ws_.cpus[static_cast<std::size_t>(c)].sleeping) {
-      // dispatch() may have been woken transitively already; the flag
-      // check keeps each CPU's first dispatch single.
-      dispatch(c, SimTime::zero());
-    }
-  }
-
-  while (!ws_.ev_finish.empty()) {
-    // At most one outstanding completion per CPU, so a linear min-scan
-    // beats heap maintenance; (finish, seq) is unique, so the extraction
-    // order matches the heap this replaces. The scan runs over the shared
-    // flat key arrays (engine_core::completion_min) with swap-removal.
-    const std::uint32_t n = static_cast<std::uint32_t>(ws_.ev_finish.size());
-    const std::uint32_t min_i =
-        engine_core::completion_min(ws_.ev_finish.data(), ws_.ev_seq.data(), n);
-    const SimTime finish{ws_.ev_finish[min_i]};
-    const std::uint64_t meta = ws_.ev_meta[min_i];
-    ws_.ev_finish[min_i] = ws_.ev_finish.back();
-    ws_.ev_seq[min_i] = ws_.ev_seq.back();
-    ws_.ev_meta[min_i] = ws_.ev_meta.back();
-    ws_.ev_finish.pop_back();
-    ws_.ev_seq.pop_back();
-    ws_.ev_meta.pop_back();
-    on_completion(static_cast<int>(engine_core::completion_cpu(meta)),
-                  NodeId{engine_core::completion_node(meta)}, finish);
-  }
-
-  // Completeness: every node on the taken path must have been dispatched.
-  // The inline accounting certifies it in O(1): everything readied was
-  // taken (empty queue) and nothing was left partially released (a node
-  // stuck with 0 < NUP < initial NUP would show as activated > completed).
-  PASERTA_ASSERT(ws_.ready.empty(), "simulation ended with ready work");
-  PASERTA_ASSERT(activated_ == completed_,
-                 "simulation ended with " << activated_ - completed_
-                                          << " partially released nodes "
-                                             "(deadlock?)");
-  if (opt_.check_completeness) {
-    // Debug-only second opinion: recompute the closure from scratch.
-    const std::uint32_t expected_count = count_executed(
-        g_, sc_, off_.nup_init_table(), off_.source_table(), ws_);
-    PASERTA_ASSERT(result_.dispatched == expected_count,
-                   "simulation dispatched " << result_.dispatched << " of "
-                                            << expected_count
-                                            << " expected nodes (deadlock?)");
-  }
-
-  result_.finish_time = last_activity_;
-  result_.deadline_met = result_.finish_time <= off_.deadline();
-
-  // Idle/sleep time over [0, deadline], clamped at 0 per processor when a
-  // run overruns; joins the ledger so idle energy flows through the same
-  // fold as busy and overhead energy.
-  std::uint64_t idle_ps = 0;
-  for (const Cpu& c : ws_.cpus) {
-    const SimTime idle = off_.deadline() - c.busy;
-    if (idle > SimTime::zero()) idle_ps += static_cast<std::uint64_t>(idle.ps);
-  }
-
-  // The canonical ledger fold computes the run's energies. Level and
-  // transition entries are visited through their sorted touched lists —
-  // the same non-zero entries in the same ascending order as
-  // attribution_energy()'s full-table scans over exported counters
-  // (untouched entries are zero and both scans skip zeros), which is what
-  // makes audit mode's "counters rebuild the engine's energies exactly"
-  // an equality, not a tolerance.
-  if (ws_.touched_levels.size() > 1)
-    std::sort(ws_.touched_levels.begin(), ws_.touched_levels.end());
-  if (ws_.touched_transitions.size() > 1)
-    std::sort(ws_.touched_transitions.begin(), ws_.touched_transitions.end());
-  {
-    const std::span<const Energy> power = pm_.level_powers();
-    const double switch_sec = ovh_.speed_change_time.sec();
-    // One pass over the touched levels with two accumulators: each
-    // accumulator still receives its terms in ascending level order, so
-    // the sums are bitwise those of fold_ledger's separate busy and
-    // compute loops.
-    double busy = 0.0;
-    double overhead = 0.0;
-    for (const std::uint32_t l : ws_.touched_levels) {
-      if (ws_.busy_ps[l] != 0)
-        busy += power[l] *
-                SimTime{static_cast<std::int64_t>(ws_.busy_ps[l])}.sec();
-      if (ws_.compute_ps[l] != 0)
-        overhead += power[l] *
-                    SimTime{static_cast<std::int64_t>(ws_.compute_ps[l])}.sec();
-    }
-    for (const std::uint32_t idx : ws_.touched_transitions)
-      overhead +=
-          transition_energy(idx, ws_.transitions[idx], power, switch_sec);
-    result_.busy_energy = busy;
-    result_.overhead_energy = overhead;
-    result_.idle_energy =
-        idle_ps != 0
-            ? pm_.idle_energy(SimTime{static_cast<std::int64_t>(idle_ps)})
-            : 0.0;
-  }
-
-  if (opt_.audit) {
-    // Integer time conservation: every energy-bearing picosecond the
-    // ledger attributes must come from a processor's busy time — exactly.
-    std::uint64_t ledger_ps = 0;
-    for (const std::uint64_t t : ws_.busy_ps) ledger_ps += t;
-    for (const std::uint64_t t : ws_.compute_ps) ledger_ps += t;
-    std::uint64_t switches = 0;
-    for (const std::uint64_t n : ws_.transitions) switches += n;
-    ledger_ps +=
-        switches * static_cast<std::uint64_t>(ovh_.speed_change_time.ps);
-    std::uint64_t cpu_busy_ps = 0;
-    for (const Cpu& c : ws_.cpus)
-      cpu_busy_ps += static_cast<std::uint64_t>(c.busy.ps);
-    PASERTA_ASSERT(ledger_ps == cpu_busy_ps,
-                   "attribution ledger accounts for "
-                       << ledger_ps << " ps of busy time but processors "
-                       << "recorded " << cpu_busy_ps << " ps");
-  }
-
-  if (ctr_) {
-    // Export the ledger. Cells are zero-initialized per sweep, so the
-    // first run adopts the shape and later runs of the same cell add
-    // elementwise (SimCounters::add asserts the level count matches).
-    if (ctr_->levels == 0) {
-      ctr_->levels = static_cast<std::uint32_t>(power_.size());
-      ctr_->busy_ps = ws_.busy_ps;
-      ctr_->compute_ps = ws_.compute_ps;
-      ctr_->transitions = ws_.transitions;
-    } else {
-      PASERTA_ASSERT(ctr_->levels == power_.size(),
-                     "SimCounters cell reused across power tables");
-      // Only this run's touched entries can be non-zero.
-      for (const std::uint32_t l : ws_.touched_levels) {
-        ctr_->busy_ps[l] += ws_.busy_ps[l];
-        ctr_->compute_ps[l] += ws_.compute_ps[l];
-      }
-      for (const std::uint32_t idx : ws_.touched_transitions)
-        ctr_->transitions[idx] += ws_.transitions[idx];
-    }
-    ctr_->idle_ps += idle_ps;
-  }
-
-  if (opt_.record_trace) {
-    result_.trace = std::move(ws_.trace);
-    ws_.trace.clear();  // leave the moved-from buffer in a defined state
-  }
-  return result_;
 }
 
 }  // namespace
@@ -651,18 +105,31 @@ SimResult simulate(const Application& app, const OfflineResult& off,
                    const PowerModel& pm, const Overheads& overheads,
                    SpeedPolicy& policy, const RunScenario& scenario,
                    SimWorkspace& workspace, const SimOptions& options) {
-  PASERTA_REQUIRE(scenario.actual.size() == app.graph.size() &&
-                      scenario.or_choice.size() == app.graph.size(),
+  const std::size_t n = app.graph.size();
+  PASERTA_REQUIRE(scenario.actual.size() == n && scenario.or_choice.size() == n,
                   "scenario size does not match the application graph");
-  PASERTA_REQUIRE(off.eo_table().size() == app.graph.size() &&
-                      off.eet_table().size() == app.graph.size() &&
-                      off.nup_init_table().size() == app.graph.size() &&
-                      off.node_flag_table().size() == app.graph.size() &&
-                      off.wcet_table().size() == app.graph.size() &&
-                      off.succ_offset_table().size() == app.graph.size() + 1,
-                  "offline result does not match the application graph");
-  Engine engine(app, off, pm, overheads, policy, scenario, workspace, options);
-  return engine.run();
+  ScenarioBatch& batch = workspace.batch;
+  batch.ensure(1, n);
+  std::copy_n(scenario.actual.data(), n, batch.lane_actual(0));
+  std::copy_n(scenario.or_choice.data(), n, batch.lane_choice(0));
+  BatchSimOptions bo;
+  bo.record_trace = options.record_trace;
+  bo.audit = options.audit;
+  bo.shared_cell = options.counters;
+  SimResult r;
+  simulate_batch(app, off, pm, overheads, policy, batch, 1, workspace.kernel,
+                 &r, bo);
+  if (options.check_completeness) {
+    // Debug-only second opinion: recompute the closure from scratch.
+    const std::vector<bool> executed = executed_set(app.graph, scenario);
+    const auto expected = static_cast<std::uint32_t>(
+        std::count(executed.begin(), executed.end(), true));
+    PASERTA_ASSERT(r.dispatched == expected,
+                   "simulation dispatched " << r.dispatched << " of "
+                                            << expected
+                                            << " expected nodes (deadlock?)");
+  }
+  return r;
 }
 
 SimResult simulate(const Application& app, const OfflineResult& off,

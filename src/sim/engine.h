@@ -1,34 +1,18 @@
-// Online multiprocessor scheduling engine (paper §3.2, Figure 2).
+// One-run front end of the simulation kernel (paper §3.2, Figure 2).
 //
-// Identical processors share a global ready queue kept in canonical
-// execution order (EO). Each idle processor tries to dequeue the head;
-// a computation node may be taken only when its EO equals the next
-// expected order NEO (OR nodes may jump ahead — their EO skips untaken
-// alternatives, and NEO is reset to EO+1 after they fire). Processors that
-// find the head non-dispatchable sleep and are signalled when new work at
-// the head becomes dispatchable.
-//
-// Dummy AND/OR nodes execute in zero time on the dispatching processor.
-// For computation nodes the engine charges the speed-computation overhead
-// (cycles at the current frequency), asks the SpeedPolicy for a level
-// (greedy slack reclamation against the task's estimated end time
-// EET = LST + inflated WCET, optionally raised to a speculative floor),
-// charges a voltage-transition overhead when the level changes, and runs
-// the task for actual_time * f_max / f.
-//
-// Energy is integrated over [0, deadline]: busy + overhead + transition
-// energy plus idle/sleep energy at the model's idle power.
+// simulate() runs one scenario of one scheme: it copies the RunScenario
+// into lane 0 of a one-lane ScenarioBatch and runs the kernel of
+// sim/batch_engine.h once, so there is one dispatch loop in the library
+// whichever entry point a caller uses. The dispatch rules, overheads and
+// energy accounting are described there.
 //
 // The engine keeps no heap state of its own: every per-run buffer lives in
-// a caller-owned SimWorkspace that is cleared — not reallocated — between
-// runs, so Monte-Carlo loops (harness/experiment.cpp) pay zero per-run
-// allocation. Trace recording is opt-in via SimOptions::record_trace; the
+// a caller-owned SimWorkspace that is reused — not reallocated — between
+// runs. Trace recording is opt-in via SimOptions::record_trace; the
 // convenience overloads without a workspace record traces (the verifier,
 // Gantt/SVG tools and tests consume them).
 #pragma once
 
-#include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/offline.h"
@@ -36,150 +20,67 @@
 #include "graph/program.h"
 #include "obs/metrics.h"
 #include "power/power_model.h"
+#include "sim/batch_engine.h"
+#include "sim/sampler.h"
 #include "sim/scenario.h"
 
 namespace paserta {
-
-/// Trace record of one dispatched node.
-struct TaskRecord {
-  NodeId node;
-  int cpu = -1;
-  std::uint32_t eo = 0;
-  SimTime dispatch_time{};  // when dequeued (Figure 2 step 4)
-  SimTime exec_start{};     // after overheads
-  SimTime finish{};
-  std::size_t level = 0;        // level index the task ran at
-  std::size_t level_before = 0; // processor's level at dispatch time
-  bool switched = false;        // a voltage transition was charged
-  int chosen_alt = -1;      // OR forks: selected alternative
-};
 
 /// Per-run simulation knobs.
 struct SimOptions {
   /// Record one TaskRecord per dispatched node into SimResult::trace.
   /// Only the trace verifier, the Gantt/SVG renderers and the trace
-  /// analytics need traces; aggregate-only consumers (the Monte-Carlo
-  /// harness) turn this off to keep the hot loop allocation-free.
+  /// analytics need traces; aggregate-only consumers turn this off to keep
+  /// the hot loop allocation-free.
   bool record_trace = true;
   /// Debug completeness check: after the run, recompute the taken-path
-  /// closure with a full graph traversal and require that exactly those
-  /// nodes were dispatched. The engine always enforces the cheap inline
-  /// equivalent (O(1) accounting per release: an empty ready queue and no
+  /// closure with a full graph traversal (executed_set) and require that
+  /// exactly that many nodes were dispatched. The kernel always enforces
+  /// the cheap inline equivalent (an empty ready queue and no
   /// partially-released node at the end), so this second walk is pure
-  /// defense-in-depth; the convenience simulate() overloads and the
-  /// trace-verifying harness path turn it on, Monte-Carlo hot loops leave
-  /// it off.
+  /// defense-in-depth; the convenience simulate() overloads turn it on.
   bool check_completeness = false;
-  /// Optional telemetry sink: when set, the engine adds dispatch counts,
-  /// DVS activity, reclaimed-slack time and the energy-attribution ledger
+  /// Optional telemetry sink: when set, the run's dispatch counts, DVS
+  /// activity, reclaimed-slack time and energy-attribution ledger
   /// (per-level busy/compute picoseconds, per-pair transition counts, idle
-  /// picoseconds) for this run into the struct (plain accumulation, no
+  /// picoseconds) are added into the struct (plain accumulation, no
   /// synchronization — the cell must be owned by the calling thread). Null
   /// keeps the hot path increment-free.
   SimCounters* counters = nullptr;
   /// Self-audit: after the run, assert the integer time-conservation
   /// invariant of the attribution ledger — the per-level busy and
   /// speed-computation picoseconds plus (transition count x switch time)
-  /// must equal the summed per-CPU busy time exactly. Cheap (O(levels^2)
-  /// integer adds) but pure defense-in-depth, so off by default; the
+  /// must equal the summed per-CPU busy time exactly. Off by default; the
   /// harness audit path (ExperimentConfig::audit) additionally rebuilds
   /// the energies from exported counters via attribution_energy().
   bool audit = false;
 };
 
-/// Reusable scratch space of the simulation engine: the NUP counters,
-/// ready queue, completion heap, per-CPU state, trace buffer and the
-/// scratch of the end-of-run completeness check. One workspace serves one
+/// Reusable scratch space of simulate(): the kernel's workspace and the
+/// one-lane scenario slab the run is copied into. One workspace serves one
 /// simulation at a time (one per worker thread); buffers grow to the
 /// high-water mark of the runs they serve and are then reused without
-/// touching the allocator. Treat the members as engine-internal: construct
-/// the object and pass it to simulate().
+/// touching the allocator. Construct the object and pass it to simulate().
 struct SimWorkspace {
-  struct Cpu {
-    std::size_t level = 0;
-    bool sleeping = false;
-    SimTime busy{};  // total non-idle time (exec + overheads)
-  };
-
-  std::vector<std::uint32_t> nup;
-  // Ready queue keyed on (EO, node id) packed into one u64
-  // (engine_core::ready_key), kept sorted descending so the minimum sits
-  // at the back: pop is O(1), insert shifts the (tiny) tail. EOs of
-  // coexisting ready nodes are unique by construction, the id is a
-  // deterministic safety net; the unique total order makes the pop
-  // sequence identical to the binary heap this replaces. The same flat
-  // layout and helpers back the batched engine's per-lane queues.
-  std::vector<std::uint64_t> ready;
-  // Outstanding completions, at most one per CPU, as parallel flat arrays:
-  // the comparator keys (finish, seq — unique) are scanned by
-  // engine_core::completion_min and the payload (cpu, node) rides in
-  // ev_meta. Extraction order is deterministic regardless of layout.
-  std::vector<std::int64_t> ev_finish;
-  std::vector<std::uint64_t> ev_seq;
-  std::vector<std::uint64_t> ev_meta;
-  std::vector<Cpu> cpus;
-  // Per-level speed-computation overhead cache
-  // (cycles_to_time(speed_compute_cycles, level freq) — a pure function of
-  // the table), rebuilt only when the workspace meets a different power
-  // table or overhead config.
-  std::vector<SimTime> dt_compute;
-  const void* dt_key = nullptr;      // identity of the cached level table
-  std::uint32_t dt_cycles = 0;       // cached speed_compute_cycles
-  std::vector<TaskRecord> trace;
-  // Energy-attribution ledger of the current run: task time and
-  // speed-computation time per voltage level (picoseconds), transition
-  // counts per ordered level pair (row-major [from * levels + to]). The
-  // engine accumulates energy-bearing time here as integers and converts
-  // to joules once at end of run — one canonical fold shared with
-  // attribution_energy(), so exported SimCounters reproduce SimResult's
-  // energies bit-for-bit.
-  std::vector<std::uint64_t> busy_ps;
-  std::vector<std::uint64_t> compute_ps;
-  std::vector<std::uint64_t> transitions;
-  // Touched-entry lists: a run writes only a few levels and transition
-  // pairs, so the fold and the per-run reset walk these lists instead of
-  // the level table / L x L matrix; both are sorted before folding to
-  // keep the canonical ascending-index order. level_touched is the
-  // per-level dedup flag behind touched_levels.
-  std::vector<std::uint32_t> touched_levels;
-  std::vector<char> level_touched;
-  std::vector<std::uint32_t> touched_transitions;
-  // Scratch of the taken-path closure (SimOptions::check_completeness).
-  std::vector<std::uint32_t> reach_nup;
-  std::vector<std::uint32_t> reach_stack;
-  std::vector<char> reached;
-};
-
-/// Result of one simulated run of one scheme.
-struct SimResult {
-  Energy busy_energy = 0.0;        // task execution
-  Energy overhead_energy = 0.0;    // speed computation + transitions
-  Energy idle_energy = 0.0;        // idle/sleep until the deadline
-  SimTime finish_time{};
-  std::uint32_t speed_changes = 0;
-  std::uint32_t dispatched = 0;
-  bool deadline_met = false;
-  std::vector<TaskRecord> trace;   // empty unless SimOptions::record_trace
-
-  Energy total_energy() const {
-    return busy_energy + overhead_energy + idle_energy;
-  }
+  BatchWorkspace kernel;
+  ScenarioBatch batch;
 };
 
 /// Simulates one run. `off` must come from analyze_offline on the same
 /// application with the same CPU count; `off.feasible()` should hold for
 /// the deadline guarantee to apply (the engine still runs otherwise and
-/// reports deadline_met = false when it misses). The workspace overload is
-/// the hot-loop entry point: it performs no heap allocation once the
-/// workspace buffers have reached their steady-state sizes.
+/// reports deadline_met = false when it misses). `policy` must have been
+/// reset for this run. The workspace overload is the hot-loop entry point:
+/// it performs no heap allocation once the workspace buffers have reached
+/// their steady-state sizes.
 SimResult simulate(const Application& app, const OfflineResult& off,
                    const PowerModel& pm, const Overheads& overheads,
                    SpeedPolicy& policy, const RunScenario& scenario,
                    SimWorkspace& workspace, const SimOptions& options = {});
 
 /// Convenience: simulate with a one-shot internal workspace, recording a
-/// full trace and running the debug completeness traversal (the
-/// pre-workspace behaviour; used by tools and tests).
+/// full trace and running the debug completeness traversal (used by tools
+/// and tests).
 SimResult simulate(const Application& app, const OfflineResult& off,
                    const PowerModel& pm, const Overheads& overheads,
                    SpeedPolicy& policy, const RunScenario& scenario);
@@ -202,7 +103,7 @@ struct EnergySplit {
 };
 
 /// Folds an exported attribution ledger back into joules through the power
-/// table. This is the engine's own end-of-run energy computation (the same
+/// table. This is the kernel's own end-of-run energy computation (the same
 /// fold, on the same integers, in the same order), so for a single run's
 /// counters the result equals SimResult::busy_energy / overhead_energy /
 /// idle_energy bit-for-bit — the invariant audit mode checks. `c.levels`

@@ -1,11 +1,11 @@
 // Serial reference for the Monte-Carlo harness, used as the oracle of the
 // harness's bit-identity suites. It is deliberately simple: one offline
 // analysis per point, one draw_scenario walk per run on the run's
-// seed-derived stream, a freshly built policy and the scalar engine per
-// scheme, and accumulation straight into the SweepPoint in run order. It
-// has no pool, staging, compiled sampler, batched engine or dedup, so
-// run_point and sweep_load are checked against code that shares none of
-// those layers.
+// seed-derived stream, a freshly built policy and the reference simulator
+// (tests/reference_engine.h) per scheme, and accumulation straight into
+// the SweepPoint in run order. It has no pool, staging, compiled sampler,
+// simulation kernel or dedup, so run_point and sweep_load are checked
+// against code that shares none of those layers.
 #pragma once
 
 #include <cmath>
@@ -16,7 +16,7 @@
 #include "core/offline.h"
 #include "core/policy.h"
 #include "harness/experiment.h"
-#include "sim/engine.h"
+#include "reference_engine.h"
 #include "sim/scenario.h"
 #include "sim/verify.h"
 
@@ -24,8 +24,9 @@ namespace paserta {
 
 /// The SweepPoint run_point(app, cfg, deadline, x) must reproduce. Honours
 /// the fields that define the result (platform, schemes, runs, seed,
-/// heuristic, policy options, verify_traces) and ignores every scheduling
-/// and observability field, which must not change it.
+/// heuristic, policy options, verify_traces, and collect_metrics for the
+/// per-scheme counter totals) and ignores every scheduling and
+/// observability field, which must not change it.
 inline SweepPoint reference_point(const Application& app,
                                   const ExperimentConfig& cfg,
                                   SimTime deadline, double x) {
@@ -45,22 +46,30 @@ inline SweepPoint reference_point(const Application& app,
     point.stats.emplace_back();
     point.stats.back().scheme = s;
   }
+  if (cfg.collect_metrics) point.metrics.schemes.resize(cfg.schemes.size());
 
-  // The convenience simulate records the trace the verifier needs.
-  const auto run = [&](Scheme s, const RunScenario& sc) {
-    const auto policy = make_policy(s, cfg.policy_options);
+  // Simulates scheme index `k` of cfg.schemes (NPM at k == size) and adds
+  // its counters into that scheme's metrics cell.
+  const auto run = [&](std::size_t k, const RunScenario& sc) {
+    const bool npm = k == cfg.schemes.size();
+    const auto policy =
+        make_policy(npm ? Scheme::NPM : cfg.schemes[k], cfg.policy_options);
     policy->reset(off, pm);
-    return simulate(app, off, pm, cfg.overheads, *policy, sc);
+    SimCounters* const cell =
+        !cfg.collect_metrics ? nullptr
+        : npm                ? &point.metrics.npm
+                             : &point.metrics.schemes[k];
+    return reference_simulate(app, off, pm, cfg.overheads, *policy, sc, cell);
   };
   for (int i = 0; i < cfg.runs; ++i) {
     Rng rng(Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(i)));
     const RunScenario sc = draw_scenario(app.graph, rng);
-    const double npm = run(Scheme::NPM, sc).total_energy();
+    const double npm = run(cfg.schemes.size(), sc).total_energy();
     point.npm_energy.add(npm);
     const bool degenerate = !(npm > 0.0);
     if (degenerate) ++point.degenerate_runs;
     for (std::size_t s = 0; s < cfg.schemes.size(); ++s) {
-      const SimResult r = run(cfg.schemes[s], sc);
+      const SimResult r = run(s, sc);
       SchemeStats& st = point.stats[s];
       const double total = r.total_energy();
       if (!degenerate) st.norm_energy.add(total / npm);

@@ -1,7 +1,9 @@
-// Batched-engine bit-identity suite: simulate_batch (sim/batch_engine.h)
-// must reproduce the scalar engine run-for-run — energies, finish times,
-// traces, counters and the attribution ledger, bitwise — and run_point
-// must produce byte-identical points for every batch size. The suite
+// Kernel bit-identity suite: simulate_batch (sim/batch_engine.h) and its
+// one-lane front end simulate() must reproduce the reference simulator
+// (tests/reference_engine.h) run-for-run — energies, finish times, traces,
+// counters and the attribution ledger, bitwise — and run_point must
+// reproduce the reference harness (tests/reference_harness.h) for every
+// batch size. The suite
 // cross-validates on randomized AND/OR applications (apps/random_app.h),
 // so the lockstep dispatch loop is exercised across graph shapes no
 // hand-written workload covers: nested OR forks, loops, empty
@@ -12,7 +14,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/random_app.h"
@@ -21,6 +25,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "power/power_model.h"
+#include "reference_engine.h"
+#include "reference_harness.h"
 #include "sim/batch_engine.h"
 #include "sim/engine.h"
 #include "sim/sampler.h"
@@ -107,11 +113,11 @@ void expect_point_eq(const SweepPoint& a, const SweepPoint& b) {
   }
 }
 
-// Engine level: simulate_batch vs the scalar workspace loop on the same
-// pre-drawn scenarios, every scheme, with traces, audit and per-lane
-// counters on. Any divergence in the lockstep dispatch order, the
-// division-free duration math or the ledger fold fails here with the
-// exact field named.
+// Engine level: simulate_batch and the one-lane simulate() vs the
+// reference simulator on the same pre-drawn scenarios, every scheme, with
+// traces, audit and per-lane counters on. Any divergence in the lockstep
+// dispatch order, the division-free duration math or the ledger fold
+// fails here with the exact field named.
 TEST(BatchEngine, MatchesScalarEngineOnRandomApps) {
   const PowerModel pm(LevelTable::transmeta_tm5400());
   Overheads ovh;
@@ -146,18 +152,28 @@ TEST(BatchEngine, MatchesScalarEngineOnRandomApps) {
       SCOPED_TRACE(testing::Message()
                    << "app seed " << app_seed << " scheme "
                    << static_cast<int>(scheme));
-      // Scalar oracle: one policy reset, one workspace, per-run loop.
+      // Reference oracle, and the one-lane front end through one reused
+      // workspace; both reset the policy per run.
       auto policy = make_policy(scheme);
-      policy->reset(off, pm);
       SimWorkspace sws;
       SimOptions so;
-      so.record_trace = true;
       so.audit = true;
       std::vector<SimResult> want(kLanes);
       std::vector<SimCounters> want_cells(kLanes);
       for (std::size_t l = 0; l < kLanes; ++l) {
-        so.counters = &want_cells[l];
-        want[l] = simulate(app, off, pm, ovh, *policy, scenarios[l], sws, so);
+        policy->reset(off, pm);
+        want[l] = reference_simulate(app, off, pm, ovh, *policy, scenarios[l],
+                                     &want_cells[l]);
+        policy->reset(off, pm);
+        SimCounters one_cell;
+        so.counters = &one_cell;
+        const SimResult one =
+            simulate(app, off, pm, ovh, *policy, scenarios[l], sws, so);
+        SCOPED_TRACE(testing::Message() << "one-lane simulate, lane " << l);
+        EXPECT_EQ(want[l].total_energy(), one.total_energy());
+        EXPECT_EQ(want[l].finish_time.ps, one.finish_time.ps);
+        expect_trace_eq(want[l].trace, one.trace);
+        expect_counters_eq(want_cells[l], one_cell);
       }
 
       BatchWorkspace bws;
@@ -187,11 +203,11 @@ TEST(BatchEngine, MatchesScalarEngineOnRandomApps) {
 }
 
 // Harness level: run_point output (stats, metrics, degenerate counts) is
-// identical for every batch size against the scalar per-run observed path
-// (which a per-run tracer selects),
-// including lane counts that leave odd remainders (50 % 3, 50 % 8) and
-// one larger than the run count. Audit and metrics stay on, so the
-// counter export paths (shared cell vs per-lane cells) are both covered.
+// identical to the reference harness for every batch size, including lane
+// counts that leave odd remainders (50 % 3, 50 % 8), one larger than the
+// run count, and the one lane a per-run tracer selects. Audit and metrics
+// stay on, so the counter export paths (shared cell vs per-lane cells)
+// are both covered.
 TEST(BatchEngine, RunPointMatchesScalarAcrossBatchSizes) {
   constexpr int kRuns = 50;
   for (std::uint64_t app_seed : {2u, 11u}) {
@@ -209,11 +225,18 @@ TEST(BatchEngine, RunPointMatchesScalarAcrossBatchSizes) {
     const SimTime deadline{static_cast<std::int64_t>(
         std::ceil(static_cast<double>(w.ps) / 0.5))};
 
+    const SweepPoint ref = reference_point(app, cfg, deadline, 0.5);
+
     Tracer run_tracer(Tracer::Detail::kRuns);
-    ExperimentConfig ref_cfg = cfg;
-    ref_cfg.tracer = &run_tracer;
-    ASSERT_EQ(resolved_batch_lanes(ref_cfg), 0);
-    const SweepPoint ref = run_point(app, ref_cfg, deadline, 0.5);
+    ExperimentConfig traced_cfg = cfg;
+    traced_cfg.tracer = &run_tracer;
+    traced_cfg.batch = 8;
+    ASSERT_EQ(resolved_batch_lanes(traced_cfg), 1);
+    {
+      SCOPED_TRACE(testing::Message() << "app seed " << app_seed
+                                      << " per-run tracer");
+      expect_point_eq(ref, run_point(app, traced_cfg, deadline, 0.5));
+    }
 
     for (int b : {0, 1, 3, 8, 64, kRuns}) {
       SCOPED_TRACE(testing::Message()
@@ -228,21 +251,20 @@ TEST(BatchEngine, RunPointMatchesScalarAcrossBatchSizes) {
   }
 }
 
-// verify_traces needs the scalar engine's completeness traversal and a
-// per-run tracer needs one span per simulation, so such configurations must
-// resolve to the scalar observed path no matter what batch size was
-// requested — silently degrading verification would be worse than the
-// lost batching. Every other configuration gets real lanes.
-TEST(BatchEngine, ScalarOnlyFacilitiesForceScalarResolution) {
+// verify_traces runs through the chunk pipeline at the configured width
+// (each lane records and verifies its own trace), and a per-run tracer
+// resolves to one lane so it can record one span per simulation. Every
+// other configuration gets the requested lanes.
+TEST(BatchEngine, ObservedConfigurationsResolveLanes) {
   ExperimentConfig cfg;
   cfg.batch = 64;
   EXPECT_EQ(resolved_batch_lanes(cfg), 64);
   cfg.verify_traces = true;
-  EXPECT_EQ(resolved_batch_lanes(cfg), 0);
+  EXPECT_EQ(resolved_batch_lanes(cfg), 64);
   cfg.verify_traces = false;
   Tracer run_tracer(Tracer::Detail::kRuns);
   cfg.tracer = &run_tracer;
-  EXPECT_EQ(resolved_batch_lanes(cfg), 0);
+  EXPECT_EQ(resolved_batch_lanes(cfg), 1);
   Tracer chunk_tracer(Tracer::Detail::kChunks);
   cfg.tracer = &chunk_tracer;
   EXPECT_EQ(resolved_batch_lanes(cfg), 64);
@@ -250,7 +272,35 @@ TEST(BatchEngine, ScalarOnlyFacilitiesForceScalarResolution) {
   cfg.batch = 0;
   EXPECT_EQ(resolved_batch_lanes(cfg), 32);  // auto
   cfg.batch = 1;
-  EXPECT_EQ(resolved_batch_lanes(cfg), 1);  // one lane, not scalar
+  EXPECT_EQ(resolved_batch_lanes(cfg), 1);
+}
+
+// One span per simulation under a per-run tracer: NPM plus every scheme,
+// once per run, each labelled with its own run index.
+TEST(BatchEngine, PerRunTracerRecordsOneSpanPerSimulation) {
+  const Application app = random_app(5);
+  ExperimentConfig cfg;
+  cfg.runs = 12;
+  Tracer tracer(Tracer::Detail::kRuns);
+  cfg.tracer = &tracer;
+  const SimTime w = canonical_worst_makespan(
+      app, cfg.cpus, cfg.overheads.worst_case_budget(cfg.table),
+      cfg.heuristic);
+  (void)run_point(app, cfg, SimTime{2 * w.ps}, 0.5);
+  std::size_t spans = 0;
+  std::set<std::pair<std::string, std::int64_t>> labels;
+  for (const TraceEvent& ev : tracer.events()) {
+    const std::string name = ev.name;
+    bool simulation = name == "NPM";
+    for (Scheme s : cfg.schemes) simulation = simulation || name == to_string(s);
+    if (!simulation) continue;
+    ++spans;
+    labels.emplace(name, ev.run);
+  }
+  const std::size_t want =
+      static_cast<std::size_t>(cfg.runs) * (cfg.schemes.size() + 1);
+  EXPECT_EQ(spans, want);
+  EXPECT_EQ(labels.size(), want);
 }
 
 }  // namespace

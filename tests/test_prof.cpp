@@ -7,6 +7,7 @@
 // also runs under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -267,6 +268,39 @@ TEST(ProfIdentity, RegistryExportCarriesPhaseTotals) {
     EXPECT_EQ(reg.counter("prof." + p.name + ".ns").value(), p.ns);
     EXPECT_EQ(reg.counter("prof." + p.name + ".count").value(), p.count);
   }
+}
+
+TEST(ProfIdentity, CpuAttributionStaysWithinCpuTimeAtFourThreads) {
+  // Four slots each spend up to the call's wall time, so their top-level
+  // time summed against one wall clock overshoots 100 %; against CPU time
+  // (wall x slots) it cannot, and no single slot can exceed its wall.
+  const Application app = apps::build_synthetic();
+  Profiler prof(Profiler::Mode::kFallback);
+  ExperimentConfig cfg = prof_config(400, 4);
+  cfg.chunk_runs = 8;  // enough chunks that every slot works
+  cfg.prof = &prof;
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)sweep_load(app, cfg, {0.5, 0.9});
+  const double wall_ns = std::chrono::duration<double, std::nano>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+
+  const ProfAttribution a = attribute_cpu_time(prof, wall_ns);
+  ASSERT_GE(a.slot_util.size(), 1u);
+  EXPECT_LE(a.slot_util.size(), 4u);
+  EXPECT_DOUBLE_EQ(a.cpu_ns,
+                   wall_ns * static_cast<double>(a.slot_util.size()));
+  EXPECT_GT(a.attributed, 0.0);
+  EXPECT_LE(a.attributed, 1.0);
+  for (const double u : a.slot_util) EXPECT_LE(u, 1.0);
+
+  // The per-slot split covers exactly the top-level phase totals.
+  std::uint64_t top_ns = 0;
+  for (const ProfPhaseTotals& p : prof.snapshot())
+    if (p.top_level) top_ns += p.ns;
+  std::uint64_t slot_ns = 0;
+  for (const std::uint64_t ns : prof.top_level_ns_by_slot()) slot_ns += ns;
+  EXPECT_EQ(slot_ns, top_ns);
 }
 
 }  // namespace

@@ -179,8 +179,8 @@ void expect_points_bit_identical(const SweepPoint& a, const SweepPoint& b) {
 }
 
 /// run_point (precompiled sampler + inline run accounting) must reproduce
-/// the serial reference (per-run draw_scenario + the scalar engine's
-/// post-run traversal) bit-for-bit on the paper's fig4a workload — ATR on
+/// the serial reference (per-run draw_scenario + the reference simulator)
+/// bit-for-bit on the paper's fig4a workload — ATR on
 /// the Transmeta table, two CPUs — across multiple loads and thread
 /// counts.
 TEST(Sampler, SweepBitIdenticalToLegacyFig4a) {

@@ -39,16 +39,16 @@ std::string render_csv(const FigureDef& fig,
 }
 
 // Serial reference (tests/reference_harness.h): one offline analysis per
-// point, draw_scenario per run, the scalar engine per scheme. Everything
-// the harness layers on top — persistent pool, chunk claiming, staging
-// merge, offline cache, compiled samplers, the batched engine, audit,
-// metrics — must be unobservable against this.
+// point, draw_scenario per run, the reference simulator per scheme.
+// Everything the harness layers on top — persistent pool, chunk claiming,
+// staging merge, offline cache, compiled samplers, the simulation kernel,
+// audit, metrics — must be unobservable against this.
 std::string reference_csv(const FigureDef& fig, const Application& app) {
   return render_csv(fig, reference_sweep_load(app, fig.config, fig.xs));
 }
 
-// verify_traces adds the per-run observed path (scalar engine, verified
-// traces) to the chunk pipeline's configurations: both must match the
+// verify_traces adds per-lane traces and their verification to the chunk
+// pipeline at the configured width: both settings must match the
 // reference, and no trace may fail verification.
 TEST(ThreadScalingBitIdentity, Fig4aSweepMatchesSerialReference) {
   const FigureDef fig = paper_figure("fig4a", kRuns);
@@ -70,7 +70,7 @@ TEST(ThreadScalingBitIdentity, Fig4aSweepMatchesSerialReference) {
         cfg.collect_metrics = true;
         MetricsRegistry reg;  // scoped: keep the global registry clean
         cfg.registry = &reg;
-        ASSERT_EQ(resolved_batch_lanes(cfg) == 0, verify);
+        ASSERT_EQ(resolved_batch_lanes(cfg), 32);
         const std::vector<SweepPoint> points = sweep_load(app, cfg, fig.xs);
         SCOPED_TRACE(testing::Message() << "verify_traces=" << verify
                                         << " threads=" << threads

@@ -29,10 +29,11 @@
 // gate with a note. It is also held to a lane-count floor (--batch-floor,
 // default 1.0): in the batch section, the auto lane count (batch=0) must
 // run at least that multiple of the one-lane (batch=1) runs/sec — the two
-// share one invocation, so the ratio is host-speed independent. (Entries
-// recorded before batch=1 meant one lane measured the scalar engine
-// there; the gate reads them the same way.) Entries without a batch
-// section skip this gate with a note.
+// share one invocation, so the ratio is host-speed independent. (In
+// entries recorded before the scalar engine was retired, batch=1 could
+// mean the scalar engine; since then one lane is the kernel at one lane,
+// which is also what simulate() runs. The gate reads all entries the
+// same way.) Entries without a batch section skip this gate with a note.
 // A third floor (--dedup-floor, default 3.0) holds the dedup section's
 // recorded on-over-off speedup at its largest run count; entries without a
 // dedup section skip it with a note. A fourth floor (--serve-cache-floor,

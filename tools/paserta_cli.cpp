@@ -546,9 +546,10 @@ int cmd_profile(const Options& o) {
           .count();
 
   const std::vector<ProfPhaseTotals> phases = prof.snapshot();
-  std::uint64_t top_ns = 0;
-  for (const ProfPhaseTotals& p : phases)
-    if (p.top_level) top_ns += p.ns;
+  // Shares are of CPU time (wall x working slots), not of wall: at N
+  // threads the slots together spend up to N x wall, so per-slot thread
+  // time summed against one wall clock would read past 100 %.
+  const ProfAttribution attr = attribute_cpu_time(prof, wall_ns);
   // Monte-Carlo draws across the whole command — the same denominator the
   // bench's runs/sec uses, so cycles/run here and cycles_per_run there
   // line up (EXPERIMENTS.md).
@@ -556,6 +557,9 @@ int cmd_profile(const Options& o) {
       static_cast<double>(points.size()) * static_cast<double>(cfg.runs);
   const bool hw = prof.hardware();
 
+  std::string util;
+  for (const double u : attr.slot_util)
+    util += (util.empty() ? "" : " ") + Table::num(100.0 * u, 1) + "%";
   std::cout << "workload    : " << app.name << "  (" << points.size()
             << (points.size() == 1 ? " point, " : " points, ") << cfg.runs
             << " runs/point, " << o.threads << " thread"
@@ -563,11 +567,14 @@ int cmd_profile(const Options& o) {
             << "clock       : "
             << (hw ? "hardware counters" : "monotonic fallback") << "\n"
             << "wall        : " << Table::num(wall_ns / 1e6, 2) << " ms\n"
-            << "attributed  : "
-            << Table::num(100.0 * static_cast<double>(top_ns) / wall_ns, 1)
-            << "% of wall in top-level phases\n\n";
+            << "cpu         : " << Table::num(attr.cpu_ns / 1e6, 2) << " ms ("
+            << attr.slot_util.size() << " slot"
+            << (attr.slot_util.size() == 1 ? "" : "s") << " x wall)\n"
+            << "attributed  : " << Table::num(100.0 * attr.attributed, 1)
+            << "% of cpu in top-level phases\n"
+            << "slot util   : " << util << "\n\n";
 
-  Table t({"phase", "count", "ms", "%wall", "cyc/run", "ipc", "L$miss%",
+  Table t({"phase", "count", "ms", "%cpu", "cyc/run", "ipc", "L$miss%",
            "brm/kI"});
   for (const ProfPhaseTotals& p : phases) {
     if (p.count == 0) continue;
@@ -578,7 +585,10 @@ int cmd_profile(const Options& o) {
     t.add_row(
         {name, std::to_string(p.count),
          Table::num(static_cast<double>(p.ns) / 1e6, 2),
-         Table::num(100.0 * static_cast<double>(p.ns) / wall_ns, 1),
+         Table::num(attr.cpu_ns > 0.0
+                        ? 100.0 * static_cast<double>(p.ns) / attr.cpu_ns
+                        : 0.0,
+                    1),
          cols ? Table::num(static_cast<double>(p.cycles) / total_runs, 0)
               : "-",
          cols ? Table::num(static_cast<double>(p.instructions) /

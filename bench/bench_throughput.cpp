@@ -37,7 +37,6 @@
 //            the cleanest estimate and keeps history entries comparable
 //            when the host is busy.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
@@ -156,8 +155,7 @@ int main(int argc, char** argv) {
   const SimTime w = canonical_worst_makespan(
       app, cfg.cpus, cfg.overheads.worst_case_budget(cfg.table),
       cfg.heuristic);
-  const SimTime deadline{
-      static_cast<std::int64_t>(std::ceil(static_cast<double>(w.ps) / load))};
+  const SimTime deadline = deadline_for(w, load);
 
   // Same thread ladder as the sweep section ({1, 2, 4, 8, max} filtered to
   // the sampled maximum): scaling regressions at intermediate counts must

@@ -86,16 +86,17 @@ struct ChunkStage {
   std::vector<std::uint8_t, CacheAlignedAlloc<std::uint8_t>> degenerate;
   std::vector<SchemeOutcome, CacheAlignedAlloc<SchemeOutcome>> schemes;
 
-  /// Grows the scratch to `chunk_runs` entries (never shrinks, so the
-  /// final short chunk of a point reuses the full-size buffers). Entries
-  /// are *not* cleared between chunks: the chunk evaluators assign every
-  /// field.
+  /// Grows the scratch to `chunk_runs` runs of `nschemes` rows (never
+  /// shrinks, so a short chunk, or a point with fewer schemes, reuses the
+  /// larger buffers). Entries are *not* cleared between chunks: the chunk
+  /// pipeline assigns every field.
   void ensure(int chunk_runs, std::size_t nschemes) {
     const auto n = static_cast<std::size_t>(chunk_runs);
-    if (npm_energy.size() >= n) return;
-    npm_energy.resize(n);
-    degenerate.resize(n);
-    schemes.resize(n * nschemes);
+    if (npm_energy.size() < n) {
+      npm_energy.resize(n);
+      degenerate.resize(n);
+    }
+    if (schemes.size() < n * nschemes) schemes.resize(n * nschemes);
   }
 
   /// Bulk-copies the first `n` staged runs into `store` at [first, first+n).
@@ -152,13 +153,15 @@ int batch_lanes_for(const ExperimentConfig& cfg) {
 // appended to only in a post-chunk publish, so the lock is off the per-run
 // path entirely.
 
-/// Whether `cfg` resolves to dedup for a point whose compiled sampler
-/// reports `space` distinct scenarios (0 = unbounded).
-bool dedup_for(const ExperimentConfig& cfg, std::uint64_t space) {
+/// Whether a point with model `cfg` resolves to dedup when its compiled
+/// sampler reports `space` distinct scenarios (0 = unbounded) and
+/// `run_spans` says the call records one span per simulation.
+bool dedup_for(const ExperimentConfig& cfg, bool run_spans,
+               std::uint64_t space) {
   // Replayed runs perform no engine work, so configurations whose purpose
   // is per-run engine work keep the uncached path: verify_traces, per-run
   // spans, and audit, which re-accounts every run three ways.
-  if (cfg.verify_traces || traces_runs(cfg) || cfg.audit) return false;
+  if (cfg.verify_traces || run_spans || cfg.audit) return false;
   switch (cfg.dedup) {
     case DedupMode::kOff:
       return false;
@@ -321,7 +324,7 @@ struct RunObs {
   /// per scheme in config order, then one for the NPM baseline. Null =
   /// counting off.
   SimCounters* cells = nullptr;
-  /// Phase profiler + pre-registered phase ids (run_point_specs resolves
+  /// Phase profiler + pre-registered phase ids (run_points resolves
   /// them once per call). Null prof = every scope is a pointer test.
   Profiler* prof = nullptr;
   int ph_sample = -1;    // scenario drawing (nested under pool.busy)
@@ -599,16 +602,18 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
   if (shared != nullptr) shared->publish(*shard, nschemes, ncells, metrics);
 }
 
-/// One prepared sweep point: the (application, offline result, deadline)
-/// triple the Monte-Carlo loop needs. Pointees must outlive the call.
-struct PointSpec {
-  const Application* app = nullptr;
-  const OfflineResult* off = nullptr;
-  SimTime deadline{};
-  double x = 0.0;
+/// Resolved once per point of a run_points call, before the workers start.
+struct PointPlan {
+  const ExperimentConfig* model = nullptr;
+  std::size_t pm = 0;       // index into the call's power models
+  std::size_t sampler = 0;  // index into the call's compiled samplers
+  int chunk = 0;            // runs per chunk
+  int chunk_begin = 0;      // the point's first index in the flat chunk space
+  std::size_t cell_begin = 0;  // its nslots x (schemes + NPM) counter cells
+  bool dedup = false;
 };
 
-int chunk_size_for(const ExperimentConfig& cfg) {
+int chunk_size_for(int runs, const ExperimentConfig& cfg) {
   if (cfg.chunk_runs > 0) return cfg.chunk_runs;
   // Auto: batch enough runs per claim that the shared counter (and the
   // chunk-boundary cache lines of the shared outcome store) are touched
@@ -617,7 +622,7 @@ int chunk_size_for(const ExperimentConfig& cfg) {
   // progress ticks and tail imbalance stay bounded. Any value is
   // output-identical; this is purely a scheduling knob.
   const std::int64_t target =
-      static_cast<std::int64_t>(cfg.runs) /
+      static_cast<std::int64_t>(runs) /
       (static_cast<std::int64_t>(std::max(1, cfg.threads)) * 8);
   return static_cast<int>(std::clamp<std::int64_t>(target, 16, 2048));
 }
@@ -678,6 +683,33 @@ void flush_sim_counters(MetricsRegistry& reg, const std::string& prefix,
   reg.counter(prefix + ".idle_ps").add(0, c.idle_ps);
 }
 
+/// Flushes the engine counters of a call's points with one registry write
+/// per name: totals are summed per (scheme, ledger size) first — a ledger
+/// only sums with one of the same power table — so the registry ends with
+/// exactly the values (and the names) a flush per point would leave.
+void flush_engine_counters(MetricsRegistry& reg,
+                           std::span<const PointPlan> plans,
+                           std::span<const SweepPoint> points) {
+  std::vector<std::pair<std::string, SimCounters>> totals;
+  const auto add = [&](std::string prefix, const SimCounters& c) {
+    for (auto& [name, total] : totals)
+      if (name == prefix && total.levels == c.levels) {
+        total.add(c);
+        return;
+      }
+    totals.emplace_back(std::move(prefix), c);
+  };
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const std::vector<Scheme>& schemes = plans[p].model->schemes;
+    for (std::size_t s = 0; s < schemes.size(); ++s)
+      add(std::string("engine.") + to_string(schemes[s]),
+          points[p].metrics.schemes[s]);
+    add("engine.NPM", points[p].metrics.npm);
+  }
+  for (const auto& [prefix, total] : totals)
+    flush_sim_counters(reg, prefix, total);
+}
+
 SweepPoint finalize_point(const ExperimentConfig& cfg, const PointSpec& spec,
                           const PointOutcomes& outcomes) {
   SweepPoint point;
@@ -713,39 +745,54 @@ SweepPoint finalize_point(const ExperimentConfig& cfg, const PointSpec& spec,
   return point;
 }
 
-/// The shared Monte-Carlo loop: evaluates every (point, run) pair of
-/// `specs` by claiming chunked run ranges from the worker pool. The flat
-/// chunk space spans all points, so independent points overlap and the
-/// pool stays saturated even when `cfg.runs` is small.
-std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
-                                        const ExperimentConfig& cfg) {
+CanonicalOptions canonical_options(const ExperimentConfig& cfg) {
+  CanonicalOptions opt;
+  opt.cpus = cfg.cpus;
+  opt.overhead_budget = cfg.overheads.worst_case_budget(cfg.table);
+  opt.heuristic = cfg.heuristic;
+  return opt;
+}
+
+}  // namespace
+
+std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
+                                   const ExperimentConfig& cfg) {
   validate_config(cfg);
-  for (const PointSpec& spec : specs)
+  const auto model_of = [&](const PointSpec& spec) -> const ExperimentConfig& {
+    return spec.config != nullptr ? *spec.config : cfg;
+  };
+  for (const PointSpec& spec : specs) {
+    PASERTA_REQUIRE(model_of(spec).runs >= 1, "need at least one run");
     PASERTA_REQUIRE(spec.deadline > SimTime::zero(),
                     "deadline must be positive");
+  }
   if (specs.empty()) return {};
 
-  const PowerModel pm(cfg.table, cfg.c_ef, cfg.idle_fraction);
-  const int runs = cfg.runs;
-  const int chunk = chunk_size_for(cfg);
-  // The flat chunk space spans all points, so its size is the *product*
-  // of two int-ranged quantities: do the arithmetic in 64 bits and reject
-  // configurations whose chunk space does not fit the pool's int chunk
-  // indices — before any per-run storage is allocated. (runs + chunk - 1
-  // alone can overflow int for runs near INT_MAX.)
-  const std::int64_t chunks_per_point64 =
-      (static_cast<std::int64_t>(runs) + chunk - 1) / chunk;
-  const std::int64_t total_chunks64 =
-      chunks_per_point64 * static_cast<std::int64_t>(specs.size());
+  // The flat chunk space is the prefix sum of the points' chunk counts,
+  // which can overflow int even when every point's count fits: do the
+  // arithmetic in 64 bits and reject calls whose chunk space does not fit
+  // the pool's int chunk indices — before any per-run storage is
+  // allocated. (runs + chunk - 1 alone can overflow int for runs near
+  // INT_MAX.)
+  std::vector<PointPlan> plans(specs.size());
+  std::int64_t total_chunks64 = 0;
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    PointPlan& plan = plans[p];
+    plan.model = &model_of(specs[p]);
+    plan.chunk = chunk_size_for(plan.model->runs, cfg);
+    plan.chunk_begin = static_cast<int>(total_chunks64);  // checked below
+    total_chunks64 +=
+        (static_cast<std::int64_t>(plan.model->runs) + plan.chunk - 1) /
+        plan.chunk;
+  }
   PASERTA_REQUIRE(
       total_chunks64 <= std::numeric_limits<int>::max(),
-      "chunk space overflows int: " << specs.size() << " points x "
-                                    << chunks_per_point64
-                                    << " chunks/point (runs=" << runs
-                                    << ", chunk=" << chunk
+      "chunk space overflows int: " << specs.size() << " points, "
+                                    << total_chunks64
+                                    << " chunks (chunk_runs="
+                                    << cfg.chunk_runs
                                     << ") — raise chunk_runs or split the "
                                        "sweep");
-  const int chunks_per_point = static_cast<int>(chunks_per_point64);
   const int total_chunks = static_cast<int>(total_chunks64);
   const int max_workers = std::min(cfg.threads, total_chunks);
   const int claim_batch = claim_batch_for(total_chunks64, max_workers);
@@ -760,10 +807,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
                                      : &MetricsRegistry::global())
           : nullptr;
   Tracer* const tracer = cfg.tracer;
-  Tracer* const run_tracer =
-      (tracer != nullptr && tracer->detail() == Tracer::Detail::kRuns)
-          ? tracer
-          : nullptr;
+  Tracer* const run_tracer = traces_runs(cfg) ? tracer : nullptr;
   PoolTelemetry tel;
   const PoolTelemetry* telp = nullptr;
   if (reg != nullptr) {
@@ -813,25 +857,39 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   // join, so the totals are thread-count independent.
   const std::size_t nslots =
       static_cast<std::size_t>(std::max(1, max_workers));
-  const std::size_t nschemes = cfg.schemes.size();
-  const std::size_t ncells = nschemes + 1;  // + NPM baseline
-  std::vector<SimCounters> cells(
-      cfg.collect_metrics ? specs.size() * nslots * ncells : 0);
+  std::size_t ncells_total = 0;
+  for (PointPlan& plan : plans) {
+    plan.cell_begin = ncells_total;
+    ncells_total += nslots * (plan.model->schemes.size() + 1);
+  }
+  std::vector<SimCounters> cells(cfg.collect_metrics ? ncells_total : 0);
 
   // Preallocate every per-run slot before the workers start, so the run
   // loop itself writes in place without allocating.
   std::vector<PointOutcomes> outcomes;
   outcomes.reserve(specs.size());
-  for (std::size_t p = 0; p < specs.size(); ++p)
-    outcomes.emplace_back(runs, cfg.schemes.size());
+  for (const PointPlan& plan : plans)
+    outcomes.emplace_back(plan.model->runs, plan.model->schemes.size());
 
-  // One compiled sampler per distinct application: load-sweep points share
-  // one graph, so a 10-point sweep compiles exactly one. Compiled up front
-  // on the driving thread; workers clone their own private copies from
-  // these masters (WorkerCtx::samplers) instead of reading them shared.
+  // One power model per distinct point config, and one compiled sampler
+  // per distinct application: load-sweep points share both, so a 10-point
+  // sweep builds exactly one of each. Samplers are compiled up front on
+  // the driving thread; workers clone their own private copies from these
+  // masters (WorkerCtx::samplers) instead of reading them shared.
+  std::vector<PowerModel> pms;
+  std::vector<const ExperimentConfig*> pm_models;
+  for (PointPlan& plan : plans) {
+    std::size_t j = 0;
+    while (j < pm_models.size() && pm_models[j] != plan.model) ++j;
+    if (j == pm_models.size()) {
+      pm_models.push_back(plan.model);
+      pms.emplace_back(plan.model->table, plan.model->c_ef,
+                       plan.model->idle_fraction);
+    }
+    plan.pm = j;
+  }
   std::vector<std::unique_ptr<ScenarioSampler>> samplers;
   std::vector<const Application*> sampler_apps;
-  std::vector<std::size_t> spec_sampler_idx(specs.size());
   {
     TraceSpan span(tracer, 0, "compile_samplers");
     setup_scope.reset();  // close the setup stretch around the compile
@@ -846,26 +904,26 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
         samplers.push_back(
             std::make_unique<ScenarioSampler>(specs[i].app->graph));
       }
-      spec_sampler_idx[i] = j;
+      plans[i].sampler = j;
     }
   }
   setup_scope.emplace(prof, ph_setup, 0);  // dedup plumbing + worker slots
 
-  // Dedup resolution (DESIGN.md §15): the scenario space is a sampler
-  // property, so resolve once per distinct application and fan out per
-  // spec. When any point dedups, each (point, slot) pair gets a lazily
-  // created single-threaded OutcomeShard; with more than one worker, each
-  // dedup point additionally gets a shared publish store so slots can
-  // adopt each other's simulated records instead of re-simulating.
-  std::vector<std::uint8_t> spec_dedup(specs.size(), 0);
+  // Dedup resolution (DESIGN.md §15), per point: the scenario space is a
+  // sampler property, the rest is the point's model. When any point
+  // dedups, each (point, slot) pair gets a lazily created single-threaded
+  // OutcomeShard; with more than one worker, each dedup point additionally
+  // gets a shared publish store so slots can adopt each other's simulated
+  // records instead of re-simulating.
   bool any_dedup = false;
   {
-    std::vector<std::uint8_t> sampler_dedup(samplers.size(), 0);
+    std::vector<std::uint64_t> spaces(samplers.size());
     for (std::size_t j = 0; j < samplers.size(); ++j)
-      sampler_dedup[j] = dedup_for(cfg, samplers[j]->scenario_space()) ? 1 : 0;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      spec_dedup[i] = sampler_dedup[spec_sampler_idx[i]];
-      any_dedup = any_dedup || spec_dedup[i] != 0;
+      spaces[j] = samplers[j]->scenario_space();
+    for (PointPlan& plan : plans) {
+      plan.dedup = dedup_for(*plan.model, run_tracer != nullptr,
+                             spaces[plan.sampler]);
+      any_dedup = any_dedup || plan.dedup;
     }
   }
   std::vector<std::unique_ptr<OutcomeShard>> shards(
@@ -873,58 +931,63 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   std::vector<std::unique_ptr<SharedOutcomes>> shared_stores(
       any_dedup && max_workers > 1 ? specs.size() : 0);
   for (std::size_t i = 0; i < shared_stores.size(); ++i)
-    if (spec_dedup[i])
+    if (plans[i].dedup)
       shared_stores[i] = std::make_unique<SharedOutcomes>(
-          samplers[spec_sampler_idx[i]]->op_count());
+          samplers[plans[i].sampler]->op_count());
 
   std::vector<std::unique_ptr<WorkerCtx>> ctxs(nslots);
 
   const auto body = [&](int c, int slot) {
     auto& ctx = ctxs[static_cast<std::size_t>(slot)];
     if (!ctx) ctx = std::make_unique<WorkerCtx>(samplers.size());
-    const int p = c / chunks_per_point;
-    const int first = (c % chunks_per_point) * chunk;
-    const int last = std::min(runs, first + chunk);
-    const int count = last - first;
-    const PointSpec& spec = specs[static_cast<std::size_t>(p)];
-    TraceSpan chunk_span(tracer, slot, "chunk", p, first);
+    // The point owning flat chunk c: the last plan starting at or before c.
+    const auto p = static_cast<std::size_t>(
+        std::upper_bound(plans.begin(), plans.end(), c,
+                         [](int chunk, const PointPlan& plan) {
+                           return chunk < plan.chunk_begin;
+                         }) -
+        plans.begin() - 1);
+    const PointPlan& plan = plans[p];
+    const ExperimentConfig& model = *plan.model;
+    const std::size_t nschemes = model.schemes.size();
+    const int first = (c - plan.chunk_begin) * plan.chunk;
+    const int count = std::min(model.runs - first, plan.chunk);
+    const PointSpec& spec = specs[p];
+    TraceSpan chunk_span(tracer, slot, "chunk", static_cast<std::int64_t>(p),
+                         first);
     RunObs obs = obs_proto;
     obs.run_tracer = run_tracer;
     obs.slot = slot;
-    obs.point = p;
+    obs.point = static_cast<std::int64_t>(p);
     if (!cells.empty())
-      obs.cells = cells.data() +
-                  (static_cast<std::size_t>(p) * nslots +
-                   static_cast<std::size_t>(slot)) *
-                      ncells;
+      obs.cells = cells.data() + plan.cell_begin +
+                  static_cast<std::size_t>(slot) * (nschemes + 1);
     // The slot's private sampler copy for this point's application,
     // cloned from the shared master on first use.
-    const std::size_t sidx = spec_sampler_idx[static_cast<std::size_t>(p)];
-    if (!ctx->samplers[sidx])
-      ctx->samplers[sidx] = std::make_unique<ScenarioSampler>(*samplers[sidx]);
+    auto& sampler_copy = ctx->samplers[plan.sampler];
+    if (!sampler_copy)
+      sampler_copy = std::make_unique<ScenarioSampler>(*samplers[plan.sampler]);
     // Evaluate the whole chunk into slot-private staging, then flush it
     // into the shared run-major store with one bulk copy per array: the
     // per-run loop touches no shared mutable memory at all.
-    ctx->stage.ensure(chunk, nschemes);
-    const ScenarioSampler& sampler = *ctx->samplers[sidx];
+    ctx->stage.ensure(plan.chunk, nschemes);
+    const ScenarioSampler& sampler = *sampler_copy;
     // The dedup filter's shard is created by the owning slot's own thread,
     // like the rest of its worker-local state.
     OutcomeShard* shard = nullptr;
     SharedOutcomes* shared = nullptr;
-    if (spec_dedup[static_cast<std::size_t>(p)] != 0) {
-      auto& sh = shards[static_cast<std::size_t>(p) * nslots +
-                        static_cast<std::size_t>(slot)];
+    if (plan.dedup) {
+      auto& sh = shards[p * nslots + static_cast<std::size_t>(slot)];
       if (!sh) sh = std::make_unique<OutcomeShard>(sampler.op_count());
       shard = sh.get();
-      if (!shared_stores.empty())
-        shared = shared_stores[static_cast<std::size_t>(p)].get();
+      if (!shared_stores.empty()) shared = shared_stores[p].get();
     }
-    evaluate_chunk(*spec.app, cfg, *spec.off, pm, spec.deadline, sampler,
-                   first, count, batch_lanes, *ctx, obs, shard, shared);
+    evaluate_chunk(*spec.app, model, *spec.off, pms[plan.pm], spec.deadline,
+                   sampler, first, count, batch_lanes, *ctx, obs, shard,
+                   shared);
     {
       ProfScope ps(obs.prof, obs.ph_flush, slot);
-      ctx->stage.flush(outcomes[static_cast<std::size_t>(p)], first, count,
-                       nschemes);
+      ctx->stage.flush(outcomes[p], first, count, nschemes);
     }
   };
 
@@ -944,54 +1007,42 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
 
   std::vector<SweepPoint> points;
   points.reserve(specs.size());
-  {
-    TraceSpan span(tracer, 0, "finalize");
-    ProfScope ps(prof, prof != nullptr ? prof->phase("harness.finalize", true)
-                                       : -1,
-                 0);
-    for (std::size_t p = 0; p < specs.size(); ++p) {
-      points.push_back(finalize_point(cfg, specs[p], outcomes[p]));
-      if (cfg.collect_metrics) {
-        // Sum the slot cells in fixed slot order (integer adds: the order
-        // would not matter anyway, but keep it canonical).
-        PointMetrics& m = points.back().metrics;
-        m.schemes.resize(nschemes);
-        for (std::size_t slot = 0; slot < nslots; ++slot) {
-          const SimCounters* cell =
-              cells.data() + (p * nslots + slot) * ncells;
-          for (std::size_t s = 0; s < nschemes; ++s)
-            m.schemes[s].add(cell[s]);
-          m.npm.add(cell[nschemes]);
-        }
+  TraceSpan span(tracer, 0, "finalize");
+  ProfScope ps(prof, prof != nullptr ? prof->phase("harness.finalize", true)
+                                     : -1,
+               0);
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    const PointPlan& plan = plans[p];
+    const std::size_t nschemes = plan.model->schemes.size();
+    points.push_back(finalize_point(*plan.model, specs[p], outcomes[p]));
+    if (cfg.collect_metrics) {
+      // Sum the slot cells in fixed slot order (integer adds: the order
+      // would not matter anyway, but keep it canonical).
+      PointMetrics& m = points.back().metrics;
+      m.schemes.resize(nschemes);
+      for (std::size_t slot = 0; slot < nslots; ++slot) {
+        const SimCounters* cell =
+            cells.data() + plan.cell_begin + slot * (nschemes + 1);
+        for (std::size_t s = 0; s < nschemes; ++s) m.schemes[s].add(cell[s]);
+        m.npm.add(cell[nschemes]);
       }
-      if (spec_dedup[p] != 0) {
-        DedupStats& d = points.back().dedup;
-        d.enabled = true;
-        for (std::size_t slot = 0; slot < nslots; ++slot) {
-          const auto& shard = shards[p * nslots + slot];
-          if (!shard) continue;
-          d.hits += shard->hits;
-          d.misses += shard->misses;
-          d.bytes += shard->bytes();
-        }
-        if (!shared_stores.empty() && shared_stores[p])
-          d.bytes += shared_stores[p]->bytes();
+    }
+    if (plan.dedup) {
+      DedupStats& d = points.back().dedup;
+      d.enabled = true;
+      for (std::size_t slot = 0; slot < nslots; ++slot) {
+        const auto& shard = shards[p * nslots + slot];
+        if (!shard) continue;
+        d.hits += shard->hits;
+        d.misses += shard->misses;
+        d.bytes += shard->bytes();
       }
+      if (!shared_stores.empty() && shared_stores[p])
+        d.bytes += shared_stores[p]->bytes();
     }
   }
   if (reg != nullptr) {
-    // Counter flushing is part of wrapping the run up — second entry into
-    // the finalize phase, so profile attribution covers the whole tail.
-    ProfScope ps(prof, prof != nullptr ? prof->phase("harness.finalize", true)
-                                       : -1,
-                 0);
-    for (const SweepPoint& pt : points) {
-      for (std::size_t s = 0; s < nschemes; ++s)
-        flush_sim_counters(
-            *reg, std::string("engine.") + to_string(cfg.schemes[s]),
-            pt.metrics.schemes[s]);
-      flush_sim_counters(*reg, "engine.NPM", pt.metrics.npm);
-    }
+    flush_engine_counters(*reg, plans, points);
     if (any_dedup) {
       std::uint64_t hits = 0, misses = 0, bytes = 0;
       for (const SweepPoint& pt : points) {
@@ -1007,35 +1058,34 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   return points;
 }
 
-CanonicalOptions canonical_options(const ExperimentConfig& cfg) {
-  CanonicalOptions opt;
-  opt.cpus = cfg.cpus;
-  opt.overhead_budget = cfg.overheads.worst_case_budget(cfg.table);
-  opt.heuristic = cfg.heuristic;
-  return opt;
-}
-
 SimTime deadline_for(SimTime worst_makespan, double load) {
   PASERTA_REQUIRE(load > 0.0, "load must be positive, got " << load);
   return SimTime{static_cast<std::int64_t>(
       std::ceil(static_cast<double>(worst_makespan.ps) / load))};
 }
 
-/// Exports an OfflineCache::get delta as offline.cache.{hits,misses}
-/// registry counters (collect_metrics only). Callers snapshot the cache's
-/// lifetime counters before their get() calls and pass the snapshot here,
-/// so shared caches export each harness call's own lookups, not history.
-void export_offline_cache_delta(const ExperimentConfig& cfg,
-                                const OfflineCache& cache,
-                                std::uint64_t hits0, std::uint64_t misses0) {
-  if (!cfg.collect_metrics) return;
-  MetricsRegistry& reg =
-      cfg.registry != nullptr ? *cfg.registry : MetricsRegistry::global();
-  reg.counter("offline.cache.hits").add(0, cache.hits() - hits0);
-  reg.counter("offline.cache.misses").add(0, cache.misses() - misses0);
+const CanonicalAnalysis& cached_analysis(const Application& app,
+                                         const ExperimentConfig& cfg,
+                                         OfflineCache& cache) {
+  const std::uint64_t h0 = cache.hits();
+  const std::uint64_t m0 = cache.misses();
+  const CanonicalAnalysis* canon = nullptr;
+  {
+    Profiler* const prof = cfg.prof;
+    ProfScope ps(prof,
+                 prof != nullptr ? prof->phase("offline.analyze", true) : -1,
+                 0);
+    canon = &cache.get(app, canonical_options(cfg));
+  }
+  if (cfg.collect_metrics) {
+    // Shared caches export each lookup's own delta, not their history.
+    MetricsRegistry& reg =
+        cfg.registry != nullptr ? *cfg.registry : MetricsRegistry::global();
+    reg.counter("offline.cache.hits").add(0, cache.hits() - h0);
+    reg.counter("offline.cache.misses").add(0, cache.misses() - m0);
+  }
+  return *canon;
 }
-
-}  // namespace
 
 int resolved_batch_lanes(const ExperimentConfig& config) {
   return batch_lanes_for(config);
@@ -1043,7 +1093,7 @@ int resolved_batch_lanes(const ExperimentConfig& config) {
 
 bool resolved_dedup(const ExperimentConfig& config,
                     std::uint64_t scenario_space) {
-  return dedup_for(config, scenario_space);
+  return dedup_for(config, traces_runs(config), scenario_space);
 }
 
 SweepPoint run_point(const Application& app, const ExperimentConfig& cfg,
@@ -1052,33 +1102,24 @@ SweepPoint run_point(const Application& app, const ExperimentConfig& cfg,
   PASERTA_REQUIRE(deadline > SimTime::zero(), "deadline must be positive");
 
   Profiler* const prof = cfg.prof;
-  const int ph_analyze =
-      prof != nullptr ? prof->phase("offline.analyze", true) : -1;
-  const int ph_apply =
-      prof != nullptr ? prof->phase("offline.apply", true) : -1;
   OfflineResult off;
   {
     TraceSpan span(cfg.tracer, 0, "offline_analysis");
     if (cache != nullptr) {
-      const std::uint64_t h0 = cache->hits();
-      const std::uint64_t m0 = cache->misses();
-      const CanonicalAnalysis* canon = nullptr;
-      {
-        ProfScope ps(prof, ph_analyze, 0);
-        canon = &cache->get(app, canonical_options(cfg));
-      }
-      {
-        ProfScope ps(prof, ph_apply, 0);
-        off = apply_deadline(*canon, deadline);
-      }
-      export_offline_cache_delta(cfg, *cache, h0, m0);
+      const CanonicalAnalysis& canon = cached_analysis(app, cfg, *cache);
+      ProfScope ps(prof,
+                   prof != nullptr ? prof->phase("offline.apply", true) : -1,
+                   0);
+      off = apply_deadline(canon, deadline);
     } else {
       OfflineOptions opt;
       opt.cpus = cfg.cpus;
       opt.deadline = deadline;
       opt.overhead_budget = cfg.overheads.worst_case_budget(cfg.table);
       opt.heuristic = cfg.heuristic;
-      ProfScope ps(prof, ph_analyze, 0);
+      ProfScope ps(prof,
+                   prof != nullptr ? prof->phase("offline.analyze", true) : -1,
+                   0);
       off = analyze_offline(app, opt);
     }
   }
@@ -1088,7 +1129,7 @@ SweepPoint run_point(const Application& app, const ExperimentConfig& cfg,
   spec.off = &off;
   spec.deadline = deadline;
   spec.x = x_value;
-  return run_point_specs({&spec, 1}, cfg).front();
+  return run_points({&spec, 1}, cfg).front();
 }
 
 std::vector<SweepPoint> sweep_load(const Application& app,
@@ -1104,13 +1145,7 @@ std::vector<SweepPoint> sweep_load(const Application& app,
   const CanonicalAnalysis* canon_ptr = nullptr;
   {
     TraceSpan span(cfg.tracer, 0, "offline_analysis");
-    ProfScope ps(prof,
-                 prof != nullptr ? prof->phase("offline.analyze", true) : -1,
-                 0);
-    const std::uint64_t h0 = cache.hits();
-    const std::uint64_t m0 = cache.misses();
-    canon_ptr = &cache.get(app, canonical_options(cfg));
-    export_offline_cache_delta(cfg, cache, h0, m0);
+    canon_ptr = &cached_analysis(app, cfg, cache);
   }
   const CanonicalAnalysis& canon = *canon_ptr;
 
@@ -1134,7 +1169,7 @@ std::vector<SweepPoint> sweep_load(const Application& app,
     specs.push_back(spec);
   }
 
-  return run_point_specs(specs, cfg);
+  return run_points(specs, cfg);
 }
 
 std::vector<SweepPoint> sweep_alpha(const Application& app,

@@ -9,19 +9,22 @@
 // Sweeps vary either the load (deadline = W / load, paper §5.1) or alpha
 // (ACET/WCET ratio, paper §5.2).
 //
-// Execution model: runs are partitioned into chunked index ranges claimed
-// atomically from the persistent WorkerPool (harness/pool.h) — no per-point
-// thread spawn/join. A load sweep additionally (a) runs the
+// Execution model: one loop, run_points, partitions the runs of one or
+// more points into chunked index ranges claimed atomically from the
+// persistent WorkerPool (harness/pool.h) — no per-point thread
+// spawn/join. Each point may carry its own model config, so unrelated
+// points (the serve daemon's batches) share one call as well as a load
+// sweep's grid does. A load sweep additionally runs the
 // deadline-independent canonical offline analysis exactly once through an
-// OfflineCache and (b) overlaps its points on the pool, so the machine
-// stays saturated even when `runs` per point is small. All of this is
-// unobservable in the output: every run draws from its own seed-derived
-// stream and results accumulate in run order, so SweepPoints are
-// bit-identical for every thread count, chunk size and point interleaving.
+// OfflineCache. All of this is unobservable in the output: every run
+// draws from its own seed-derived stream and results accumulate in run
+// order, so SweepPoints are bit-identical for every thread count, chunk
+// size and point interleaving.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -205,6 +208,43 @@ int resolved_batch_lanes(const ExperimentConfig& config);
 /// measurements with it.
 bool resolved_dedup(const ExperimentConfig& config,
                     std::uint64_t scenario_space);
+
+/// One point of a run_points call. Pointees must outlive the call.
+struct PointSpec {
+  const Application* app = nullptr;
+  /// The point's offline tables; they carry its cpus and heuristic.
+  const OfflineResult* off = nullptr;
+  SimTime deadline{};
+  double x = 0.0;  // copied to SweepPoint::x
+  /// The point's model: runs, seed, schemes, table, c_ef, idle_fraction,
+  /// overheads, policy_options, dedup, verify_traces and audit. Null =
+  /// the call's config.
+  const ExperimentConfig* config = nullptr;
+};
+
+/// The Monte-Carlo loop behind run_point and sweep_load: evaluates every
+/// (point, run) pair of `specs` in one flat chunk space on the worker pool
+/// (each point contributes its own chunk count), so independent points
+/// overlap and the pool stays saturated even when each point is small.
+/// `config` supplies the call's execution and observability fields —
+/// threads, chunk_runs, batch, collect_metrics, registry, tracer,
+/// progress, prof — and each spec's config its model. Every SweepPoint is
+/// bit-identical to run_point on that spec alone, for any thread count,
+/// chunk size, lane count and mix of points; engine counters reach the
+/// registry summed by scheme, once per call.
+std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
+                                   const ExperimentConfig& config);
+
+/// The sweep deadline rule: D = ceil(W / load), load > 0.
+SimTime deadline_for(SimTime worst_makespan, double load);
+
+/// The canonical (deadline-independent) analysis of (app, config.cpus,
+/// config's overhead budget, config.heuristic), looked up once in `cache`.
+/// The lookup is charged to the offline.analyze phase of config.prof and,
+/// with collect_metrics, exported as offline.cache.{hits,misses}.
+const CanonicalAnalysis& cached_analysis(const Application& app,
+                                         const ExperimentConfig& config,
+                                         OfflineCache& cache);
 
 /// Evaluates one point. `deadline` must be >= the canonical worst-case
 /// makespan for the guarantee to hold (the harness does not enforce it, so

@@ -319,9 +319,12 @@ void WorkerPool::serial_chunks(
 }
 
 WorkerPool& WorkerPool::process_pool() {
-  static WorkerPool pool(std::max(
-      1, static_cast<int>(std::thread::hardware_concurrency())));
+  static WorkerPool pool(hardware_threads());
   return pool;
+}
+
+int WorkerPool::hardware_threads() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
 }  // namespace paserta

@@ -90,6 +90,10 @@ class WorkerPool {
   /// a caller asks for more participants than it has.
   static WorkerPool& process_pool();
 
+  /// Hardware threads of the host (at least 1): the size process_pool()
+  /// starts with, and what "auto" thread settings resolve to.
+  static int hardware_threads();
+
   static constexpr int kMaxThreads = 64;
 
  private:

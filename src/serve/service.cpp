@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -13,6 +12,7 @@
 #include "common/version.h"
 #include "graph/text_format.h"
 #include "harness/json.h"
+#include "harness/pool.h"
 #include "obs/trace.h"
 
 namespace paserta {
@@ -37,14 +37,6 @@ Application build_app(const SimRequest& req) {
 LevelTable table_of(const std::string& name) {
   return name == "xscale" ? LevelTable::intel_xscale()
                           : LevelTable::transmeta_tm5400();
-}
-
-// sweep_load's per-point deadline rule (experiment.cpp deadline_for):
-// D = ceil(W / load). Must match exactly — the bit-identity contract with
-// `paserta_cli sweep` hangs on it.
-SimTime deadline_from_load(SimTime worst_makespan, double load) {
-  return SimTime{static_cast<std::int64_t>(
-      std::ceil(static_cast<double>(worst_makespan.ps) / load))};
 }
 
 /// The coalescing key: every request input that can influence the
@@ -80,7 +72,22 @@ std::shared_future<std::string> ready_future(std::string response) {
 
 }  // namespace
 
+/// A distinct simulation of one batch and the jobs it answers.
+struct SimService::Group {
+  const GraphStore::Entry* entry = nullptr;
+  std::string app_name;  // the *request's* name, used for rendering
+  std::vector<Job*> jobs;
+  // Filled by prepare_group:
+  ExperimentConfig cfg;
+  OfflineResult off;
+  PointSpec spec;
+  std::string x_name;
+};
+
 SimService::SimService(ServeSettings settings) : settings_(settings) {
+  PASERTA_REQUIRE(settings_.threads >= 0,
+                  "serve threads must be >= 0 (0 = auto), got "
+                      << settings_.threads);
   if (settings_.registry != nullptr) {
     registry_ = settings_.registry;
   } else {
@@ -93,6 +100,16 @@ SimService::SimService(ServeSettings settings) : settings_(settings) {
   ph_group_ = prof_.phase("serve.group", /*top_level=*/true);
   ph_simulate_ = prof_.phase("serve.simulate", /*top_level=*/true);
   ph_respond_ = prof_.phase("serve.respond", /*top_level=*/true);
+  ph_apply_ = prof_.phase("offline.apply", /*top_level=*/true);
+  base_config_.threads = settings_.threads > 0 ? settings_.threads
+                                               : WorkerPool::hardware_threads();
+  base_config_.batch = settings_.batch;
+  base_config_.dedup = settings_.dedup;
+  base_config_.collect_metrics = true;
+  base_config_.registry = registry_;
+  base_config_.tracer = settings_.tracer;
+  base_config_.prof = &prof_;
+  base_config_.progress = &progress_;
   dispatcher_ = std::thread([this] { dispatcher_main(); });
 }
 
@@ -281,11 +298,6 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
   // Group jobs by semantic key, preserving first-seen order. The
   // Application of each group's representative is interned so repeated
   // workloads hit the same object (and with it the OfflineCache).
-  struct Group {
-    const GraphStore::Entry* entry = nullptr;
-    std::string app_name;  // the *request's* name, used for rendering
-    std::vector<Job*> jobs;
-  };
   std::vector<Group> groups;
   std::unordered_map<std::string, std::size_t> index;
   phase_.store("intern", std::memory_order_relaxed);
@@ -310,7 +322,10 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
     const std::string key = group_key(job->req, entry->id, app_name);
     auto [it, inserted] = index.try_emplace(key, groups.size());
     if (inserted) {
-      groups.push_back(Group{entry, std::move(app_name), {}});
+      Group g;
+      g.entry = entry;
+      g.app_name = std::move(app_name);
+      groups.push_back(std::move(g));
     }
     groups[it->second].jobs.push_back(job.get());
   }
@@ -318,6 +333,11 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
                                                         last_interned_);
   last_interned_ = store_.misses();
 
+  // Prepare every group here, on the dispatcher (the store and the cache
+  // are single-threaded). A group whose preparation throws is answered
+  // with its own error now and stays out of the pooled calls.
+  phase_.store("simulate", std::memory_order_relaxed);
+  std::vector<Group*> ready;
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     Group& g = groups[gi];
     if (g.jobs.size() > 1) {
@@ -327,95 +347,122 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
     TraceSpan group_span(settings_.tracer, 0, "serve.group",
                          static_cast<std::int64_t>(gi),
                          static_cast<std::int64_t>(g.jobs.size()));
-    const SimRequest& req = g.jobs.front()->req;
-    std::string response_error;
-    std::string experiment_json;
-    double elapsed_ms = 0.0;
     try {
-      const Application& app = g.entry->app;
-      ExperimentConfig cfg;
-      cfg.cpus = req.cpus;
-      cfg.table = table_of(req.table);
-      cfg.runs = req.runs;
-      cfg.seed = req.seed;
-      cfg.threads = settings_.threads;
-      cfg.batch = settings_.batch;
-      cfg.dedup = settings_.dedup;
-      cfg.heuristic = req.heuristic;
-      if (!req.schemes.empty()) cfg.schemes = req.schemes;
-      cfg.collect_metrics = true;
-      cfg.registry = registry_;
-      cfg.tracer = settings_.tracer;
-      cfg.prof = &prof_;
-      cfg.progress = &progress_;
-
-      SweepPoint point;
-      double x = 0.0;
-      std::string x_name;
-      phase_.store("simulate", std::memory_order_relaxed);
-      {
-        ProfScope sim_scope(&prof_, ph_simulate_, 0);
-        SimTime deadline{};
-        if (req.deadline_ms) {
-          deadline = SimTime::from_ms(*req.deadline_ms);
-          x = *req.deadline_ms;
-          x_name = "deadline_ms";
-        } else {
-          // Same derivation as sweep_load: one canonical analysis per
-          // (graph, cpus, budget, heuristic), shared across requests via
-          // the long-lived cache. Export the get() delta ourselves — only
-          // run_point's internal gets are exported by the harness.
-          const std::uint64_t h0 = cache_.hits();
-          const std::uint64_t m0 = cache_.misses();
-          const CanonicalAnalysis& canon = cache_.get(
-              app, CanonicalOptions{
-                       cfg.cpus, cfg.overheads.worst_case_budget(cfg.table),
-                       cfg.heuristic});
-          registry_->counter("offline.cache.hits").add(0, cache_.hits() - h0);
-          registry_->counter("offline.cache.misses")
-              .add(0, cache_.misses() - m0);
-          deadline = deadline_from_load(canon.worst_makespan(), req.load);
-          x = req.load;
-          x_name = "load";
-        }
-
-        const auto sim0 = std::chrono::steady_clock::now();
-        point = run_point(app, cfg, deadline, x, &cache_);
-        elapsed_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - sim0)
-                         .count();
-      }
-
-      // Render the exact document `paserta_cli sweep --json` prints for
-      // this point (minus its trailing newline) — the bit-identity
-      // contract pinned by test_serve.
-      phase_.store("respond", std::memory_order_relaxed);
-      ProfScope render_scope(&prof_, ph_respond_, 0);
-      JsonExportOptions jopt;
-      jopt.experiment_id = g.app_name + "-" + x_name;
-      jopt.caption = "paserta_cli sweep";
-      jopt.x_name = x_name;
-      experiment_json = sweep_to_json({point}, jopt);
+      prepare_group(g);
+      ready.push_back(&g);
     } catch (const std::exception& e) {
-      response_error = e.what();
-    }
-
-    ProfScope respond_scope(&prof_, ph_respond_, 0);
-    for (Job* job : g.jobs) {
-      if (!response_error.empty()) {
-        registry_->counter("serve.errors").add(0, 1);
-        finish_job(*job, render_error(job->req.id_json, "internal",
-                                      response_error));
-      } else {
-        registry_->counter("serve.responses").add(0, 1);
-        finish_job(*job,
-                   render_result(job->req.id_json, g.entry->content_hash,
-                                 static_cast<std::uint64_t>(g.jobs.size() - 1),
-                                 elapsed_ms, experiment_json));
-      }
+      respond(g, e.what(), nullptr, 0.0);
     }
   }
+
+  // Pack the prepared groups, in arrival order, into pooled calls of at
+  // most kPooledRunsBudget summed runs (a larger group runs alone).
+  std::size_t first = 0;
+  while (first < ready.size()) {
+    std::int64_t runs = ready[first]->cfg.runs;
+    std::size_t last = first + 1;
+    while (last < ready.size() &&
+           runs + ready[last]->cfg.runs <= kPooledRunsBudget)
+      runs += ready[last++]->cfg.runs;
+    run_pooled(std::span<Group* const>(ready).subspan(first, last - first));
+    first = last;
+  }
   phase_.store("idle", std::memory_order_relaxed);
+}
+
+void SimService::prepare_group(Group& g) {
+  ProfScope sim_scope(&prof_, ph_simulate_, 0);
+  const SimRequest& req = g.jobs.front()->req;
+  const Application& app = g.entry->app;
+  g.cfg = base_config_;
+  g.cfg.cpus = req.cpus;
+  g.cfg.table = table_of(req.table);
+  g.cfg.runs = req.runs;
+  g.cfg.seed = req.seed;
+  g.cfg.heuristic = req.heuristic;
+  if (!req.schemes.empty()) g.cfg.schemes = req.schemes;
+
+  // One canonical-analysis lookup per group, shared across requests via
+  // the long-lived cache; a load derives the deadline the way sweep_load
+  // does.
+  const CanonicalAnalysis* canon = nullptr;
+  SimTime deadline{};
+  if (req.deadline_ms) {
+    deadline = SimTime::from_ms(*req.deadline_ms);
+    g.spec.x = *req.deadline_ms;
+    g.x_name = "deadline_ms";
+  } else {
+    canon = &cached_analysis(app, g.cfg, cache_);
+    deadline = deadline_for(canon->worst_makespan(), req.load);
+    g.spec.x = req.load;
+    g.x_name = "load";
+  }
+  // run_points rejects this too, but for its whole call.
+  PASERTA_REQUIRE(deadline > SimTime::zero(), "deadline must be positive");
+  if (canon == nullptr) canon = &cached_analysis(app, g.cfg, cache_);
+  {
+    ProfScope apply_scope(&prof_, ph_apply_, 0);
+    g.off = apply_deadline(*canon, deadline);
+  }
+  g.spec.app = &app;
+  g.spec.off = &g.off;
+  g.spec.deadline = deadline;
+  g.spec.config = &g.cfg;
+}
+
+void SimService::run_pooled(std::span<Group* const> groups) {
+  registry_->counter("serve.pooled_calls").add(0, 1);
+  std::vector<PointSpec> specs;
+  specs.reserve(groups.size());
+  for (const Group* g : groups) specs.push_back(g->spec);
+  std::vector<SweepPoint> points;
+  std::string error;
+  double elapsed_ms = 0.0;
+  phase_.store("simulate", std::memory_order_relaxed);
+  try {
+    ProfScope sim_scope(&prof_, ph_simulate_, 0);
+    TraceSpan span(settings_.tracer, 0, "serve.pooled", /*point=*/-1,
+                   static_cast<std::int64_t>(specs.size()));
+    const auto t0 = std::chrono::steady_clock::now();
+    points = run_points(specs, base_config_);
+    elapsed_ms = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  phase_.store("respond", std::memory_order_relaxed);
+  for (std::size_t i = 0; i < groups.size(); ++i)
+    respond(*groups[i], error, error.empty() ? &points[i] : nullptr,
+            elapsed_ms);
+}
+
+void SimService::respond(Group& g, const std::string& error,
+                         const SweepPoint* point, double elapsed_ms) {
+  ProfScope respond_scope(&prof_, ph_respond_, 0);
+  std::string experiment_json;
+  if (error.empty()) {
+    // The exact document `paserta_cli sweep --json` prints for this point
+    // (minus its trailing newline) — the bit-identity contract pinned by
+    // test_serve.
+    JsonExportOptions jopt;
+    jopt.experiment_id = g.app_name + "-" + g.x_name;
+    jopt.caption = "paserta_cli sweep";
+    jopt.x_name = g.x_name;
+    experiment_json = sweep_to_json({*point}, jopt);
+  }
+  for (Job* job : g.jobs) {
+    if (!error.empty()) {
+      registry_->counter("serve.errors").add(0, 1);
+      finish_job(*job, render_error(job->req.id_json, "internal", error));
+    } else {
+      registry_->counter("serve.responses").add(0, 1);
+      finish_job(*job,
+                 render_result(job->req.id_json, g.entry->content_hash,
+                               static_cast<std::uint64_t>(g.jobs.size() - 1),
+                               elapsed_ms, experiment_json));
+    }
+  }
 }
 
 }  // namespace paserta

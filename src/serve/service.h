@@ -3,13 +3,19 @@
 //
 // Connection handlers (or tests, directly) submit() request lines and get
 // a future for the full response line. A single dispatcher thread drains
-// the bounded queue in batches, groups jobs whose semantic key is
+// the bounded queue in batches and groups jobs whose semantic key is
 // identical — same interned graph, platform, heuristic, schemes, runs,
-// seed and deadline — runs each distinct group once through the existing
-// harness (run_point on the WorkerPool / batched engine), and fulfills
-// every job of a group from the one shared result. Grouping is pure
-// coalescing: results are bit-identical whether a request ran alone or
-// shared a simulation, because the key pins every output-relevant input.
+// seed and deadline. It prepares each distinct group on its own thread
+// (one canonical-analysis lookup, the deadline, apply_deadline), then runs
+// the prepared groups of the batch as pooled harness calls (run_points:
+// one flat chunk space over all of them, on the process WorkerPool at
+// ServeSettings::threads) and fulfills every job of a group from the one
+// shared result. A group whose preparation fails is answered with its own
+// error and stays out of the pooled call. Grouping and pooling are
+// unobservable in the output: results are bit-identical whether a request
+// ran alone or shared a simulation or a pooled call, because the key pins
+// every output-relevant input and run_points is bit-identical to
+// run_point on each point alone.
 //
 // Cross-request caching happens at two levels, both confined to the
 // dispatcher thread (OfflineCache and GraphStore are single-threaded by
@@ -34,6 +40,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,8 +57,10 @@ namespace paserta {
 class Tracer;
 
 struct ServeSettings {
-  /// Worker threads per dispatched simulation (ExperimentConfig::threads).
-  int threads = 1;
+  /// Worker threads of each pooled harness call (ExperimentConfig::
+  /// threads); 0 = auto = the host's hardware threads, the size the
+  /// process WorkerPool starts with. Output is the same for any value.
+  int threads = 0;
   /// Batched-engine lanes per call (ExperimentConfig::batch; 0 = auto,
   /// N = N lanes).
   int batch = 0;
@@ -133,6 +142,12 @@ class SimService {
 
   const ServeLimits& limits() const { return settings_.limits; }
 
+  /// Summed runs of the groups one pooled harness call takes: prepared
+  /// groups are packed in arrival order until the next would pass it (a
+  /// group larger than the budget runs alone), so a deep queue of large
+  /// requests never preallocates all their per-run outcomes at once.
+  static constexpr std::int64_t kPooledRunsBudget = 1 << 14;
+
   /// Quantile of the cumulative serve.request_seconds histogram (seconds;
   /// NaN while empty). Read-side; call while the dispatcher is quiet for
   /// an exact answer.
@@ -151,8 +166,14 @@ class SimService {
     std::int64_t ts_ns = 0;                         // tracer epoch
   };
 
+  struct Group;
+
   void dispatcher_main();
   void process_batch(std::vector<std::unique_ptr<Job>>& batch);
+  void prepare_group(Group& g);
+  void run_pooled(std::span<Group* const> groups);
+  void respond(Group& g, const std::string& error, const SweepPoint* point,
+               double elapsed_ms);
   void finish_job(Job& job, const std::string& response);
 
   ServeSettings settings_;
@@ -187,6 +208,11 @@ class SimService {
   int ph_group_ = -1;
   int ph_simulate_ = -1;
   int ph_respond_ = -1;
+  int ph_apply_ = -1;
+
+  // The execution half of every group's ExperimentConfig: threads (auto
+  // resolved), lanes, dedup mode and the service's observability sinks.
+  ExperimentConfig base_config_;
 
   // Dispatcher-confined state (no locking: single thread).
   GraphStore store_;

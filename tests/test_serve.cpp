@@ -10,6 +10,7 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -184,16 +185,14 @@ TEST(ServeService, ResultBitIdenticalToOfflineCli) {
 TEST(ServeService, CrossRequestCacheHitsAreObservable) {
   SimService service(ServeSettings{});
   service.submit(atr_request()).get();
-  const std::uint64_t misses_after_first =
-      counter(service, "offline.cache.misses");
-  const std::uint64_t hits_after_first = counter(service, "offline.cache.hits");
-  EXPECT_GE(misses_after_first, 1u);
+  // One lookup per request: the first runs the canonical analysis...
+  EXPECT_EQ(counter(service, "offline.cache.misses"), 1u);
+  EXPECT_EQ(counter(service, "offline.cache.hits"), 0u);
 
   service.submit(atr_request()).get();
-  // Second identical request: canonical analysis comes from the cache —
-  // hits grow, misses do not.
-  EXPECT_EQ(counter(service, "offline.cache.misses"), misses_after_first);
-  EXPECT_GT(counter(service, "offline.cache.hits"), hits_after_first);
+  // ...and the second identical request takes it from the cache.
+  EXPECT_EQ(counter(service, "offline.cache.misses"), 1u);
+  EXPECT_EQ(counter(service, "offline.cache.hits"), 1u);
   // And the graph store interned the second parse onto the first object.
   EXPECT_EQ(counter(service, "serve.graph_interned"), 1u);
 }
@@ -222,6 +221,84 @@ TEST(ServeService, CoalescesIdenticalPendingRequests) {
   EXPECT_EQ(doc(r2), doc(r3));
   EXPECT_NE(doc(r1), doc(r_other));
   EXPECT_EQ(counter(service, "serve.batches"), 1u);
+}
+
+/// A response without its per-call fields: "coalesced" counts the riders
+/// and "elapsed_ms" times the pooled call, neither of which a request
+/// answered alone shares. Everything else must match byte for byte.
+std::string without_call_fields(const std::string& response) {
+  return std::regex_replace(
+      response, std::regex(R"("coalesced":[^,]*,"elapsed_ms":[^,]*,)"), "");
+}
+
+/// Answers every line from one paused batch of a `threads`-wide service,
+/// and checks each answer against a threads=1 service answering that line
+/// alone.
+void expect_batch_matches_alone(const std::vector<std::string>& lines,
+                                SimService& service) {
+  service.pause_dispatch();
+  std::vector<std::shared_future<std::string>> futures;
+  for (const std::string& line : lines) futures.push_back(service.submit(line));
+  service.resume_dispatch();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    SCOPED_TRACE(lines[i]);
+    ServeSettings solo_settings;
+    solo_settings.threads = 1;
+    SimService solo(solo_settings);
+    const std::string alone = solo.submit(lines[i]).get();
+    EXPECT_EQ(without_call_fields(futures[i].get()),
+              without_call_fields(alone));
+  }
+}
+
+TEST(ServeService, PooledBatchMatchesEachRequestAlone) {
+  const std::string synthetic =
+      "{\"id\":3,\"graph\":\"@synthetic\",\"table\":\"xscale\","
+      "\"cpus\":4,\"runs\":37,\"seed\":3,\"load\":0.6}";
+  const std::vector<std::string> lines = {
+      atr_request(0.5, kRuns, ",\"id\":1"),
+      atr_request(0.8, 1, ",\"id\":2,\"schemes\":[\"gss\",\"as\"]"),
+      synthetic,
+      "{\"id\":4,\"graph\":{\"text\":\"app tiny\\ntask T 4 2\\n\"},"
+      "\"runs\":29,\"seed\":5}",
+      // Parses, but its deadline rounds to 0 ps: preparation fails.
+      "{\"id\":5,\"graph\":\"@atr\",\"deadline_ms\":1e-12}",
+      "{\"id\":6,\"graph\":\"@mpeg\",\"runs\":15,\"cpus\":3,"
+      "\"heuristic\":\"stf\",\"deadline_ms\":60}",
+      atr_request(0.5, kRuns, ",\"id\":1"),  // rider of the first
+      synthetic,                               // rider of the third
+  };
+  ServeSettings settings;
+  settings.threads = 4;
+  SimService service(settings);
+  expect_batch_matches_alone(lines, service);
+  EXPECT_EQ(counter(service, "serve.batches"), 1u);
+  EXPECT_EQ(counter(service, "serve.pooled_calls"), 1u);
+  EXPECT_EQ(counter(service, "serve.coalesced"), 2u);
+  EXPECT_EQ(counter(service, "serve.errors"), 1u);
+  EXPECT_EQ(counter(service, "serve.responses"), 7u);
+  const JsonValue failed =
+      json_parse(service.submit(lines[4]).get());
+  EXPECT_EQ(failed.at("code").str, "internal");
+  EXPECT_NE(failed.at("message").str.find("deadline must be positive"),
+            std::string::npos);
+}
+
+TEST(ServeService, BatchOverRunsBudgetSplitsIntoPooledCalls) {
+  // Two groups that cannot share a call, then a small one that joins the
+  // second: two pooled calls in arrival order, same bytes as alone.
+  const auto tiny = [](int runs, int seed) {
+    return "{\"graph\":{\"text\":\"app tiny\\ntask T 4 2\\n\"},\"runs\":" +
+           std::to_string(runs) + ",\"seed\":" + std::to_string(seed) + "}";
+  };
+  const int big = static_cast<int>(SimService::kPooledRunsBudget / 2) + 1;
+  ServeSettings settings;
+  settings.threads = 4;
+  SimService service(settings);
+  expect_batch_matches_alone({tiny(big, 1), tiny(big, 2), tiny(10, 3)},
+                             service);
+  EXPECT_EQ(counter(service, "serve.batches"), 1u);
+  EXPECT_EQ(counter(service, "serve.pooled_calls"), 2u);
 }
 
 TEST(ServeService, BackpressureRejectsBeyondQueueLimit) {

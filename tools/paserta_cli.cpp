@@ -100,7 +100,7 @@ struct Options {
   int runs = 200;
   double from = 0.1, to = 1.0, step = 0.1;
   bool json = false;
-  int threads = 1;
+  std::optional<int> threads;  // absent: 1 for sweep/profile, auto for serve
   int batch = 0;
   std::string dedup = "auto";
   std::string trace_out;
@@ -195,9 +195,11 @@ struct Options {
       "  --stream-interval-ms N   spacing of {\"event\":\"progress\"} lines\n"
       "                      for NDJSON requests with \"stream\":true\n"
       "                      (default 250)\n"
-      "  --threads/--batch/--dedup, --trace-out, --metrics-out and\n"
-      "  --metrics-format apply to the daemon's simulations; SIGINT or\n"
-      "  SIGTERM drains in-flight requests and flushes the sinks\n";
+      "  --threads N         worker threads of each pooled batch (default 0 =\n"
+      "                      auto = the host's hardware threads)\n"
+      "  --batch/--dedup, --trace-out, --metrics-out and --metrics-format\n"
+      "  apply to the daemon's simulations; SIGINT or SIGTERM drains\n"
+      "  in-flight requests and flushes the sinks\n";
   std::exit(2);
 }
 
@@ -433,7 +435,7 @@ int cmd_sweep(const Options& o) {
   cfg.table = table_of(o);
   cfg.runs = o.runs;
   cfg.seed = o.seed;
-  cfg.threads = o.threads;
+  cfg.threads = o.threads.value_or(1);
   cfg.batch = o.batch;
   cfg.dedup = o.dedup == "on"    ? DedupMode::kOn
               : o.dedup == "off" ? DedupMode::kOff
@@ -524,7 +526,7 @@ int cmd_profile(const Options& o) {
   cfg.table = table_of(o);
   cfg.runs = o.runs;
   cfg.seed = o.seed;
-  cfg.threads = o.threads;
+  cfg.threads = o.threads.value_or(1);
   cfg.batch = o.batch;
   cfg.dedup = o.dedup == "on"    ? DedupMode::kOn
               : o.dedup == "off" ? DedupMode::kOff
@@ -562,8 +564,8 @@ int cmd_profile(const Options& o) {
     util += (util.empty() ? "" : " ") + Table::num(100.0 * u, 1) + "%";
   std::cout << "workload    : " << app.name << "  (" << points.size()
             << (points.size() == 1 ? " point, " : " points, ") << cfg.runs
-            << " runs/point, " << o.threads << " thread"
-            << (o.threads == 1 ? "" : "s") << ")\n"
+            << " runs/point, " << cfg.threads << " thread"
+            << (cfg.threads == 1 ? "" : "s") << ")\n"
             << "clock       : "
             << (hw ? "hardware counters" : "monotonic fallback") << "\n"
             << "wall        : " << Table::num(wall_ns / 1e6, 2) << " ms\n"
@@ -655,7 +657,7 @@ int cmd_serve(const Options& o) {
   if (!o.trace_out.empty()) tracer = std::make_unique<Tracer>();
 
   ServeSettings settings;
-  settings.threads = o.threads;
+  if (o.threads) settings.threads = *o.threads;
   settings.batch = o.batch;
   settings.dedup = o.dedup == "on"    ? DedupMode::kOn
                    : o.dedup == "off" ? DedupMode::kOff

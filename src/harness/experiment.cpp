@@ -1,6 +1,7 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -756,7 +757,8 @@ CanonicalOptions canonical_options(const ExperimentConfig& cfg) {
 }  // namespace
 
 std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
-                                   const ExperimentConfig& cfg) {
+                                   const ExperimentConfig& cfg,
+                                   const PointDone& on_point) {
   validate_config(cfg);
   const auto model_of = [&](const PointSpec& spec) -> const ExperimentConfig& {
     return spec.config != nullptr ? *spec.config : cfg;
@@ -937,6 +939,64 @@ std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
 
   std::vector<std::unique_ptr<WorkerCtx>> ctxs(nslots);
 
+  // A point's statistics, PointMetrics and dedup totals, from its outcomes,
+  // counter cells and dedup shards — read only once every chunk of the
+  // point is done.
+  std::vector<SweepPoint> points(specs.size());
+  const auto finish = [&](std::size_t p) {
+    const PointPlan& plan = plans[p];
+    const std::size_t nschemes = plan.model->schemes.size();
+    points[p] = finalize_point(*plan.model, specs[p], outcomes[p]);
+    if (cfg.collect_metrics) {
+      // Sum the slot cells in fixed slot order (integer adds: the order
+      // would not matter anyway, but keep it canonical).
+      PointMetrics& m = points[p].metrics;
+      m.schemes.resize(nschemes);
+      for (std::size_t slot = 0; slot < nslots; ++slot) {
+        const SimCounters* cell =
+            cells.data() + plan.cell_begin + slot * (nschemes + 1);
+        for (std::size_t s = 0; s < nschemes; ++s) m.schemes[s].add(cell[s]);
+        m.npm.add(cell[nschemes]);
+      }
+    }
+    if (plan.dedup) {
+      DedupStats& d = points[p].dedup;
+      d.enabled = true;
+      for (std::size_t slot = 0; slot < nslots; ++slot) {
+        const auto& shard = shards[p * nslots + slot];
+        if (!shard) continue;
+        d.hits += shard->hits;
+        d.misses += shard->misses;
+        d.bytes += shard->bytes();
+      }
+      if (!shared_stores.empty() && shared_stores[p])
+        d.bytes += shared_stores[p]->bytes();
+    }
+  };
+
+  // Early delivery (on_point): each point counts down its unfinished
+  // chunks; the slot that finishes one releases everything it wrote for
+  // the point, and the calling thread (slot 0), between its own chunks,
+  // finishes and hands over every point of the done prefix.
+  std::unique_ptr<std::atomic<int>[]> pending;
+  std::size_t delivered = 0;
+  if (on_point) {
+    pending = std::make_unique<std::atomic<int>[]>(specs.size());
+    for (std::size_t p = 0; p < specs.size(); ++p) {
+      const int end = p + 1 < specs.size() ? plans[p + 1].chunk_begin
+                                           : total_chunks;
+      pending[p].store(end - plans[p].chunk_begin, std::memory_order_relaxed);
+    }
+  }
+  const auto deliver_done_prefix = [&] {
+    while (delivered < specs.size() &&
+           pending[delivered].load(std::memory_order_acquire) == 0) {
+      finish(delivered);
+      on_point(delivered, points[delivered]);
+      ++delivered;
+    }
+  };
+
   const auto body = [&](int c, int slot) {
     auto& ctx = ctxs[static_cast<std::size_t>(slot)];
     if (!ctx) ctx = std::make_unique<WorkerCtx>(samplers.size());
@@ -989,6 +1049,10 @@ std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
       ProfScope ps(obs.prof, obs.ph_flush, slot);
       ctx->stage.flush(outcomes[p], first, count, nschemes);
     }
+    if (pending) {
+      pending[p].fetch_sub(1, std::memory_order_acq_rel);
+      if (slot == 0) deliver_done_prefix();
+    }
   };
 
   setup_scope.reset();
@@ -1005,41 +1069,15 @@ std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
     }
   }
 
-  std::vector<SweepPoint> points;
-  points.reserve(specs.size());
+  // The points not delivered from inside the loop: all of them without
+  // on_point, else those the helpers finished after slot 0's last chunk.
   TraceSpan span(tracer, 0, "finalize");
   ProfScope ps(prof, prof != nullptr ? prof->phase("harness.finalize", true)
                                      : -1,
                0);
-  for (std::size_t p = 0; p < specs.size(); ++p) {
-    const PointPlan& plan = plans[p];
-    const std::size_t nschemes = plan.model->schemes.size();
-    points.push_back(finalize_point(*plan.model, specs[p], outcomes[p]));
-    if (cfg.collect_metrics) {
-      // Sum the slot cells in fixed slot order (integer adds: the order
-      // would not matter anyway, but keep it canonical).
-      PointMetrics& m = points.back().metrics;
-      m.schemes.resize(nschemes);
-      for (std::size_t slot = 0; slot < nslots; ++slot) {
-        const SimCounters* cell =
-            cells.data() + plan.cell_begin + slot * (nschemes + 1);
-        for (std::size_t s = 0; s < nschemes; ++s) m.schemes[s].add(cell[s]);
-        m.npm.add(cell[nschemes]);
-      }
-    }
-    if (plan.dedup) {
-      DedupStats& d = points.back().dedup;
-      d.enabled = true;
-      for (std::size_t slot = 0; slot < nslots; ++slot) {
-        const auto& shard = shards[p * nslots + slot];
-        if (!shard) continue;
-        d.hits += shard->hits;
-        d.misses += shard->misses;
-        d.bytes += shard->bytes();
-      }
-      if (!shared_stores.empty() && shared_stores[p])
-        d.bytes += shared_stores[p]->bytes();
-    }
+  for (; delivered < specs.size(); ++delivered) {
+    finish(delivered);
+    if (on_point) on_point(delivered, points[delivered]);
   }
   if (reg != nullptr) {
     flush_engine_counters(*reg, plans, points);

@@ -232,8 +232,19 @@ struct PointSpec {
 /// bit-identical to run_point on that spec alone, for any thread count,
 /// chunk size, lane count and mix of points; engine counters reach the
 /// registry summed by scheme, once per call.
+///
+/// `on_point`, when set, is handed each finished point on the calling
+/// thread, in spec order, as soon as that point and every point before it
+/// have all their runs done — while the workers still run later points —
+/// so a caller can deliver results before the call returns. It runs inside
+/// the calling thread's pool slot (nested parallel loops there run
+/// serially), and an exception from it aborts the call like a failing run.
+/// Points delivered before an exception are complete and correct.
+using PointDone = std::function<void(std::size_t index,
+                                     const SweepPoint& point)>;
 std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
-                                   const ExperimentConfig& config);
+                                   const ExperimentConfig& config,
+                                   const PointDone& on_point = {});
 
 /// The sweep deadline rule: D = ceil(W / load), load > 0.
 SimTime deadline_for(SimTime worst_makespan, double load);

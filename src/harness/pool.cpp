@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include <sched.h>
+
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -32,6 +34,23 @@ std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// How long a worker polls for the next job, and the caller for its
+/// helpers to drain, before blocking on a condition variable. A blocked
+/// thread's CPU goes idle, and waking it again costs a reschedule whose
+/// latency swings with the host's load (on a virtual machine, the host
+/// has to run the halted vCPU again). Calls that follow each other within
+/// this window — a daemon's requests, a sweep's points — so find their
+/// helpers awake. Polling yields the CPU on every turn, so a runnable
+/// thread of the process is never kept waiting for it.
+constexpr std::int64_t kSpinNs = 2'000'000;
+
+/// Yields until `ready()` or kSpinNs have passed.
+template <class Ready>
+void spin_until(const Ready& ready) {
+  const std::int64_t until = now_ns() + kSpinNs;
+  while (!ready() && now_ns() < until) sched_yield();
 }
 
 /// Accounts one completed chunk into every non-null telemetry sink.
@@ -64,7 +83,9 @@ struct WorkerPool::Impl {
     std::atomic<std::int64_t> next_chunk{0};
     std::atomic<bool> abort{false};
     int next_slot = 1;  // guarded by m (slot 0 is the caller)
-    int active = 0;     // participants currently between claim and exit
+    // Participants currently between claim and exit: written under m,
+    // also polled without it by the caller's drain spin.
+    std::atomic<int> active{0};
     std::exception_ptr error;  // first body exception (guarded by m)
   };
 
@@ -73,6 +94,7 @@ struct WorkerPool::Impl {
   std::condition_variable done;   // caller: a participant finished
   Job* job = nullptr;             // guarded by m
   std::uint64_t generation = 0;   // guarded by m; bumped per published job
+  std::atomic<std::uint64_t> published{0};  // generation, for lock-free polls
   bool stop = false;              // guarded by m
   std::vector<std::thread> threads;  // guarded by spawn_m
   std::mutex spawn_m;
@@ -172,6 +194,13 @@ struct WorkerPool::Impl {
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(m);
     for (;;) {
+      if (!stop && generation == seen) {
+        lock.unlock();
+        spin_until([&] {
+          return published.load(std::memory_order_acquire) != seen;
+        });
+        lock.lock();
+      }
       wake.wait(lock, [&] { return stop || generation != seen; });
       if (stop) return;
       seen = generation;
@@ -210,6 +239,7 @@ WorkerPool::~WorkerPool() {
   {
     std::lock_guard<std::mutex> lock(impl_->m);
     impl_->stop = true;
+    impl_->published.fetch_add(1, std::memory_order_release);  // end spins
   }
   impl_->wake.notify_all();
   for (std::thread& t : impl_->threads) t.join();
@@ -250,6 +280,7 @@ void WorkerPool::parallel_chunks(
     std::lock_guard<std::mutex> lock(impl_->m);
     impl_->job = &job;
     ++impl_->generation;
+    impl_->published.store(impl_->generation, std::memory_order_release);
   }
   impl_->wake.notify_all();
 
@@ -262,6 +293,8 @@ void WorkerPool::parallel_chunks(
   {
     // All chunks have been handed out (or the job aborted), so any late
     // worker runs zero body calls; wait for in-flight participants only.
+    // The spin is a fast path: the check that counts is the one under m.
+    spin_until([&] { return job.active.load(std::memory_order_acquire) == 0; });
     std::unique_lock<std::mutex> lock(impl_->m);
     impl_->done.wait(lock, [&] { return job.active == 0; });
     impl_->job = nullptr;

@@ -27,7 +27,9 @@ struct PoolTelemetry;  // obs/metrics.h
 /// A persistent pool of worker threads executing chunked parallel loops.
 /// One loop runs at a time (concurrent parallel_chunks calls from different
 /// threads serialize; nested calls from inside a body degrade to inline
-/// serial execution). Thread-safe.
+/// serial execution). Thread-safe. Idle workers poll for the next loop for
+/// about 2 ms, yielding the CPU each turn, before they block, so loops in
+/// quick succession skip the wake-up of a blocked thread.
 class WorkerPool {
  public:
   /// Starts `threads` background workers (>= 0; the pool also uses the

@@ -415,26 +415,30 @@ void SimService::run_pooled(std::span<Group* const> groups) {
   std::vector<PointSpec> specs;
   specs.reserve(groups.size());
   for (const Group* g : groups) specs.push_back(g->spec);
-  std::vector<SweepPoint> points;
+  // Each group is answered the moment run_points hands its point over, in
+  // arrival order, while the pool still runs the groups behind it.
+  std::size_t answered = 0;
   std::string error;
-  double elapsed_ms = 0.0;
   phase_.store("simulate", std::memory_order_relaxed);
   try {
     ProfScope sim_scope(&prof_, ph_simulate_, 0);
     TraceSpan span(settings_.tracer, 0, "serve.pooled", /*point=*/-1,
                    static_cast<std::int64_t>(specs.size()));
     const auto t0 = std::chrono::steady_clock::now();
-    points = run_points(specs, base_config_);
-    elapsed_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
+    run_points(specs, base_config_,
+               [&](std::size_t i, const SweepPoint& point) {
+                 const double elapsed_ms =
+                     std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+                 answered = i + 1;  // never answered twice, even if this throws
+                 respond(*groups[i], "", &point, elapsed_ms);
+               });
   } catch (const std::exception& e) {
     error = e.what();
   }
-  phase_.store("respond", std::memory_order_relaxed);
-  for (std::size_t i = 0; i < groups.size(); ++i)
-    respond(*groups[i], error, error.empty() ? &points[i] : nullptr,
-            elapsed_ms);
+  for (std::size_t i = answered; i < groups.size(); ++i)
+    respond(*groups[i], error, nullptr, 0.0);
 }
 
 void SimService::respond(Group& g, const std::string& error,

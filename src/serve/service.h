@@ -10,8 +10,10 @@
 // the prepared groups of the batch as pooled harness calls (run_points:
 // one flat chunk space over all of them, on the process WorkerPool at
 // ServeSettings::threads) and fulfills every job of a group from the one
-// shared result. A group whose preparation fails is answered with its own
-// error and stays out of the pooled call. Grouping and pooling are
+// shared result — as soon as run_points hands that group's point over, in
+// arrival order, while the pool still runs the groups behind it. A group
+// whose preparation fails is answered with its own error and stays out of
+// the pooled call. Grouping and pooling are
 // unobservable in the output: results are bit-identical whether a request
 // ran alone or shared a simulation or a pooled call, because the key pins
 // every output-relevant input and run_points is bit-identical to

@@ -3,14 +3,18 @@
 // must reproduce run_point on every point alone, bit for bit — statistics,
 // engine counters and dedup accounting — at every thread count, lane count
 // and chunk size; and the call's engine counters must reach the registry
-// as exactly the sum of its points' PointMetrics. Labeled pool_smoke, so
-// CI also runs it under ASan/UBSan and TSan.
+// as exactly the sum of its points' PointMetrics. A completion callback
+// must see every point once, in order, on the calling thread, equal to
+// what the call returns. Labeled pool_smoke, so CI also runs it under
+// ASan/UBSan and TSan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/atr.h"
@@ -258,6 +262,56 @@ TEST(RunPoints, EngineCountersEqualTheSumOfPointMetrics) {
           row.name.rfind("engine.dedup.", 0) != 0)
         got[row.name] = row.value;
     EXPECT_EQ(got, expected);
+  }
+}
+
+TEST(RunPoints, OnPointHandsOverEveryPointInOrderOnTheCallingThread) {
+  const Mix mix;
+  for (int threads : {1, 2, 4}) {
+    for (int chunk : {0, 7}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " chunk=" << chunk);
+      ExperimentConfig exec;
+      exec.threads = threads;
+      exec.chunk_runs = chunk;
+      exec.collect_metrics = true;
+      MetricsRegistry reg;
+      exec.registry = &reg;
+      const std::thread::id caller = std::this_thread::get_id();
+      std::vector<std::size_t> order;
+      std::vector<SweepPoint> seen;
+      bool off_caller = false;
+      const std::vector<SweepPoint> points = run_points(
+          mix.specs, exec, [&](std::size_t i, const SweepPoint& point) {
+            order.push_back(i);
+            seen.push_back(point);
+            off_caller = off_caller || std::this_thread::get_id() != caller;
+          });
+      EXPECT_FALSE(off_caller);
+      ASSERT_EQ(order.size(), points.size());
+      for (std::size_t p = 0; p < points.size(); ++p) {
+        SCOPED_TRACE(testing::Message() << "point " << p);
+        EXPECT_EQ(order[p], p);
+        expect_point_eq(points[p], seen[p]);
+      }
+    }
+  }
+}
+
+TEST(RunPoints, OnPointExceptionAbortsTheCallAfterEarlierPoints) {
+  const Mix mix;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ExperimentConfig exec;
+    exec.threads = threads;
+    std::vector<std::size_t> order;
+    EXPECT_THROW(run_points(mix.specs, exec,
+                            [&](std::size_t i, const SweepPoint&) {
+                              order.push_back(i);
+                              if (i == 2) throw std::runtime_error("stop");
+                            }),
+                 std::runtime_error);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
   }
 }
 

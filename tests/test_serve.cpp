@@ -224,8 +224,8 @@ TEST(ServeService, CoalescesIdenticalPendingRequests) {
 }
 
 /// A response without its per-call fields: "coalesced" counts the riders
-/// and "elapsed_ms" times the pooled call, neither of which a request
-/// answered alone shares. Everything else must match byte for byte.
+/// and "elapsed_ms" times the pooled call up to the group's result,
+/// neither of which a request answered alone shares. Everything else must match byte for byte.
 std::string without_call_fields(const std::string& response) {
   return std::regex_replace(
       response, std::regex(R"("coalesced":[^,]*,"elapsed_ms":[^,]*,)"), "");

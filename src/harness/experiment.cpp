@@ -392,6 +392,41 @@ SchemeOutcome scheme_outcome(const SimResult& r, double npm_energy,
   return so;
 }
 
+/// Resolved once per point of a run_points call, before the workers start.
+struct PointPlan {
+  const ExperimentConfig* model = nullptr;
+  std::size_t pm = 0;       // index into the call's power models
+  std::size_t sampler = 0;  // index into the call's compiled samplers
+  std::size_t group = 0;    // index into the call's groups
+  std::size_t cell_begin = 0;  // its nslots x (schemes + NPM) counter cells
+  bool dedup = false;
+  /// One kernel plan per engine cell: the schemes in model order, then
+  /// NPM — the layout of the point's counter cells.
+  std::vector<KernelPlan> kernels;
+  /// leader[c]: the cell whose engine call produces cell c's results — c
+  /// itself, or an earlier cell in engine order (NPM first, then the
+  /// schemes) with an equal plan.
+  std::vector<std::uint32_t> leader;
+};
+
+/// Points of one call that draw the identical scenario stream: the same
+/// compiled sampler, model seed and run count, and none of them dedups (a
+/// dedup point is a group of its own). The flat chunk space runs over
+/// (group, run range), and each lane group is drawn once for all members.
+struct PointGroup {
+  std::vector<std::size_t> points;  // members, in spec order
+  int chunk = 0;                    // runs per chunk
+  int chunk_begin = 0;  // the group's first index in the flat chunk space
+};
+
+/// One point of a chunk's group, as the chunk pipeline sees it.
+struct ChunkMember {
+  const PointSpec* spec = nullptr;
+  const PointPlan* plan = nullptr;
+  ChunkStage* stage = nullptr;
+  RunObs obs;  // the point's counter cells and trace label on this slot
+};
+
 /// Worker-local state, one set per pool slot, reused across every chunk
 /// (and every point) that slot processes. Lazily constructed by the slot's
 /// own thread on its first chunk, so every buffer a worker touches per run
@@ -403,13 +438,15 @@ SchemeOutcome scheme_outcome(const SimResult& r, double npm_energy,
 /// are read-only, but private copies also dodge capacity fights on a
 /// busy socket and make the no-shared-state property mechanical).
 struct WorkerCtx {
-  ChunkStage stage;
+  std::vector<ChunkStage> stages;  // one per member of the chunk's group
+  std::vector<ChunkMember> members;  // the chunk's group, as evaluated
   std::vector<std::unique_ptr<ScenarioSampler>> samplers;
   // Chunk-pipeline state (sim/batch_engine.h), sized lazily on first use.
   BatchWorkspace batch_ws;
   ScenarioBatch batch_sc;
   std::vector<SimResult> batch_results;
   std::vector<SimCounters> batch_cells;  // audit/dedup: one cell per lane
+  SimCounters share_cell;  // one engine call's counters, for its sharers
   // Dedup-filter scratch (DESIGN.md §15), sized lazily on first use.
   std::vector<std::uint64_t> key;  // one fingerprint (op_count words)
   std::vector<std::pair<int, std::uint32_t>> fill;  // (stage idx, record id)
@@ -418,110 +455,169 @@ struct WorkerCtx {
   explicit WorkerCtx(std::size_t sampler_count) : samplers(sampler_count) {}
 };
 
+/// The cell of a point's i-th engine call: NPM first (its energies
+/// normalize the others), then the schemes in order.
+std::size_t engine_cell(std::size_t i, std::size_t nschemes) {
+  return i == 0 ? nschemes : i - 1;
+}
+
+/// Empties `c` in place: every counter zero and no ledger, so the next
+/// export sizes the ledger for its own power table — into the capacity the
+/// ledger vectors keep.
+void clear_counters(SimCounters& c) {
+  std::vector<std::uint64_t> busy = std::move(c.busy_ps);
+  std::vector<std::uint64_t> compute = std::move(c.compute_ps);
+  std::vector<std::uint64_t> transitions = std::move(c.transitions);
+  busy.clear();
+  compute.clear();
+  transitions.clear();
+  c = SimCounters{};
+  c.busy_ps = std::move(busy);
+  c.compute_ps = std::move(compute);
+  c.transitions = std::move(transitions);
+}
+
 /// The chunk pipeline of every configuration: sample a lane group from the
-/// slot's sampler, simulate the NPM baseline plus every scheme over it
-/// with simulate_batch (`lanes_max` lanes per engine call), verify each
-/// lane's trace when verify_traces asks for it, and stage the rows. With a
-/// `shard`, the dedup filter
-/// (DESIGN.md §15) sits in front of the engine: each draw also emits its
-/// fingerprint, a repeated scenario is queued for replay, a record another
-/// slot already published is adopted, and only a first encounter takes a
-/// lane — duplicates never reach the engine. The group's rows then land in
-/// the shard's record arena, and every queued run is replayed from there
-/// into the stage. Either way the staged values and integer counter sums
-/// are exactly what simulating every run would produce.
-void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
-                    const OfflineResult& off, const PowerModel& pm,
-                    SimTime deadline, const ScenarioSampler& sampler,
+/// slot's sampler once, then for every member point of the group simulate
+/// the NPM baseline plus every scheme over it with simulate_batch
+/// (`lanes_max` lanes per engine call) — one call per distinct kernel plan,
+/// its rows and counters copied to every scheme that shares the plan —
+/// verify each lane's trace when verify_traces asks for it, and stage the
+/// member's rows. With a `shard` (a dedup point, always a group of its
+/// own), the dedup filter (DESIGN.md §15) sits in front of the engine: each
+/// draw also emits its fingerprint, a repeated scenario is queued for
+/// replay, a record another slot already published is adopted, and only a
+/// first encounter takes a lane — duplicates never reach the engine. The
+/// lane group's rows then land in the shard's record arena, and every
+/// queued run is replayed from there into the stage. Either way the staged
+/// values and integer counter sums are exactly what simulating every run of
+/// every scheme would produce.
+void evaluate_chunk(std::span<const ChunkMember> members,
+                    const ScenarioSampler& sampler, std::uint64_t seed,
                     int first, int count, int lanes_max, WorkerCtx& ctx,
-                    const RunObs& obs, OutcomeShard* shard,
-                    SharedOutcomes* shared) {
-  const std::size_t nschemes = cfg.schemes.size();
-  const std::size_t ncells = nschemes + 1;
-  const bool metrics = obs.cells != nullptr;
-  // Per-lane counter cells: audit checks each run's ledger alone, and a
-  // dedup record caches exactly one run's counters, so replay adds
-  // per-run quantities.
-  const bool lane_cells = cfg.audit || (shard != nullptr && metrics);
-  // A group never holds more lanes than the chunk has runs.
+                    OutcomeShard* shard, SharedOutcomes* shared) {
+  const ChunkMember& lead = members.front();
+  const Application& app = *lead.spec->app;
+  // A lane group never holds more lanes than the chunk has runs.
   const auto group_max = static_cast<std::size_t>(std::min(lanes_max, count));
   if (ctx.batch_results.size() < group_max)
     ctx.batch_results.resize(group_max);
   ctx.batch_sc.ensure(group_max, app.graph.size());
-  if (shard != nullptr) ctx.key.resize(sampler.op_count());
+  if (shard != nullptr) {
+    PASERTA_REQUIRE(members.size() == 1, "a dedup point forms its own group");
+    ctx.key.resize(sampler.op_count());
+  }
+  // The dedup record layout: the point's rows and, with metrics, its
+  // counter cells (schemes + NPM).
+  const std::size_t rec_schemes = lead.plan->model->schemes.size();
+  const std::size_t rec_cells = rec_schemes + 1;
+  const bool rec_metrics = lead.obs.cells != nullptr;
   const std::uint64_t miss0 = shard != nullptr ? shard->misses : 0;
 
-  // The verifier reads a lane's scenario as a RunScenario.
-  const auto verify_lane = [&](std::size_t l) {
-    const std::size_t n = app.graph.size();
-    RunScenario sc;
-    sc.actual.assign(ctx.batch_sc.lane_actual(l),
-                     ctx.batch_sc.lane_actual(l) + n);
-    sc.or_choice.assign(ctx.batch_sc.lane_choice(l),
-                        ctx.batch_sc.lane_choice(l) + n);
-    return verify_trace(app, off, sc, ctx.batch_results[l]).ok;
-  };
-
-  // Simulates lanes [0, nlanes), the runs from `run0` on — the NPM
-  // baseline first (its energies normalize the others), then every scheme
-  // — and writes lane l's record to npm_out[l], degenerate_out[l],
+  // Simulates lanes [0, nlanes), the runs from `run0` on, for member `m` —
+  // the NPM baseline first (its energies normalize the others), then every
+  // scheme — and writes lane l's record to npm_out[l], degenerate_out[l],
   // rows_out[l * nschemes + s] and, when rec_cells is set, its counters to
   // rec_cells[l * ncells + cell].
-  const auto simulate_group = [&](std::size_t nlanes, int run0,
-                                  double* npm_out,
+  const auto simulate_lanes = [&](const ChunkMember& m, std::size_t nlanes,
+                                  int run0, double* npm_out,
                                   std::uint8_t* degenerate_out,
                                   SchemeOutcome* rows_out,
                                   SimCounters* rec_cells) {
-    const auto run_scheme = [&](Scheme scheme, std::size_t cell) {
-      ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
-      SimCounters* const slot_cell = metrics ? obs.cells + cell : nullptr;
-      BatchSimOptions bo;
-      // Traces are only materialized when something consumes them: the
-      // verifier, and audit's power-curve integral check.
-      bo.record_trace = cfg.audit || cfg.verify_traces;
-      bo.audit = cfg.audit;
-      bo.prof = obs.prof;
-      bo.ph_setup = obs.ph_batch_setup;
-      bo.ph_drain = obs.ph_batch_drain;
-      bo.slot = obs.slot;
-      if (lane_cells) {
-        ctx.batch_cells.assign(nlanes, SimCounters{});
-        bo.lane_cells = ctx.batch_cells.data();
-      } else {
-        bo.shared_cell = slot_cell;
-      }
+    const ExperimentConfig& cfg = *m.plan->model;
+    const PointSpec& spec = *m.spec;
+    const RunObs& obs = m.obs;
+    const std::size_t nschemes = cfg.schemes.size();
+    const std::size_t ncells = nschemes + 1;
+    const std::vector<std::uint32_t>& leader = m.plan->leader;
+    const bool metrics = obs.cells != nullptr;
+    // Per-lane counter cells: audit checks each run's ledger alone, and a
+    // dedup record caches exactly one run's counters, so replay adds
+    // per-run quantities.
+    const bool lane_cells = cfg.audit || (rec_cells != nullptr && metrics);
+    // The verifier reads a lane's scenario as a RunScenario.
+    const auto verify_lane = [&](std::size_t l) {
+      const std::size_t n = app.graph.size();
+      RunScenario sc;
+      sc.actual.assign(ctx.batch_sc.lane_actual(l),
+                       ctx.batch_sc.lane_actual(l) + n);
+      sc.or_choice.assign(ctx.batch_sc.lane_choice(l),
+                          ctx.batch_sc.lane_choice(l) + n);
+      return verify_trace(app, *spec.off, sc, ctx.batch_results[l]).ok;
+    };
+    // One engine call per leading cell; every cell it leads takes the
+    // call's rows and counters.
+    for (std::size_t i = 0; i < ncells; ++i) {
+      const std::size_t cell = engine_cell(i, nschemes);
+      if (leader[cell] != cell) continue;
+      const Scheme scheme = cell == nschemes ? Scheme::NPM : cfg.schemes[cell];
+      bool shared_call = false;
+      for (std::size_t d = 0; d < ncells; ++d)
+        shared_call = shared_call || (d != cell && leader[d] == cell);
       {
+        ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
+        BatchSimOptions bo;
+        // Traces are only materialized when something consumes them: the
+        // verifier, and audit's power-curve integral check.
+        bo.record_trace = cfg.audit || cfg.verify_traces;
+        bo.audit = cfg.audit;
+        bo.prof = obs.prof;
+        bo.ph_setup = obs.ph_batch_setup;
+        bo.ph_drain = obs.ph_batch_drain;
+        bo.slot = obs.slot;
+        if (lane_cells) {
+          ctx.batch_cells.assign(nlanes, SimCounters{});
+          bo.lane_cells = ctx.batch_cells.data();
+        } else if (metrics && shared_call) {
+          clear_counters(ctx.share_cell);
+          bo.shared_cell = &ctx.share_cell;
+        } else if (metrics) {
+          bo.shared_cell = obs.cells + cell;
+        }
         TraceSpan span(obs.run_tracer, obs.slot, to_string(scheme), obs.point,
                        run0);
-        simulate_batch(app, off, pm, cfg.overheads, scheme,
-                       cfg.policy_options, ctx.batch_sc, nlanes, ctx.batch_ws,
-                       ctx.batch_results.data(), bo);
+        simulate_batch(m.plan->kernels[cell], ctx.batch_sc, nlanes,
+                       ctx.batch_ws, ctx.batch_results.data(), bo);
       }
-      if (!lane_cells) return;
-      for (std::size_t l = 0; l < nlanes; ++l) {
-        if (cfg.audit)
-          audit_run(app, off, pm, cfg.overheads, ctx.batch_cells[l],
-                    ctx.batch_results[l], scheme);
-        if (rec_cells != nullptr)
-          rec_cells[l * ncells + cell] = ctx.batch_cells[l];
-        else if (slot_cell != nullptr)
-          slot_cell->add(ctx.batch_cells[l]);
+      for (std::size_t d = 0; d < ncells; ++d) {
+        if (leader[d] != cell) continue;
+        if (lane_cells) {
+          for (std::size_t l = 0; l < nlanes; ++l) {
+            if (cfg.audit)
+              audit_run(app, *spec.off, *m.plan->kernels[d].pm, cfg.overheads,
+                        ctx.batch_cells[l], ctx.batch_results[l],
+                        d == nschemes ? Scheme::NPM : cfg.schemes[d]);
+            if (rec_cells != nullptr)
+              rec_cells[l * ncells + d] = ctx.batch_cells[l];
+            else if (metrics)
+              obs.cells[d].add(ctx.batch_cells[l]);
+          }
+        } else if (metrics && shared_call) {
+          obs.cells[d].add(ctx.share_cell);
+        }
       }
-    };
-
-    run_scheme(Scheme::NPM, nschemes);
-    for (std::size_t l = 0; l < nlanes; ++l) {
-      const double npm_energy = ctx.batch_results[l].total_energy();
-      npm_out[l] = npm_energy;
-      degenerate_out[l] = !(npm_energy > 0.0) ? 1 : 0;
-    }
-    for (std::size_t s = 0; s < nschemes; ++s) {
-      run_scheme(cfg.schemes[s], s);
-      for (std::size_t l = 0; l < nlanes; ++l) {
-        SchemeOutcome so =
-            scheme_outcome(ctx.batch_results[l], npm_out[l], deadline);
-        if (cfg.verify_traces) so.verify_failed = !verify_lane(l);
-        rows_out[l * nschemes + s] = so;
+      if (cell == nschemes) {
+        for (std::size_t l = 0; l < nlanes; ++l) {
+          const double npm_energy = ctx.batch_results[l].total_energy();
+          npm_out[l] = npm_energy;
+          degenerate_out[l] = !(npm_energy > 0.0) ? 1 : 0;
+        }
+      }
+      // The call's rows: built for its first scheme, copied to the rest.
+      std::size_t first_row = nschemes;
+      for (std::size_t s = 0; s < nschemes; ++s) {
+        if (leader[s] != cell) continue;
+        for (std::size_t l = 0; l < nlanes; ++l) {
+          SchemeOutcome& so = rows_out[l * nschemes + s];
+          if (first_row < s) {
+            so = rows_out[l * nschemes + first_row];
+            continue;
+          }
+          so = scheme_outcome(ctx.batch_results[l], npm_out[l],
+                              spec.deadline);
+          if (cfg.verify_traces) so.verify_failed = !verify_lane(l);
+        }
+        first_row = std::min(first_row, s);
       }
     }
   };
@@ -536,10 +632,10 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
     int adopt_run = -1;
     std::uint32_t adopt_id = 0;
     {
-      ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
+      ProfScope ps(lead.obs.prof, lead.obs.ph_sample, lead.obs.slot);
       for (; k < count && lanes < lanes_max; ++k) {
-        Rng run_rng(Rng::stream_seed(
-            cfg.seed, static_cast<std::uint64_t>(first + k)));
+        Rng run_rng(
+            Rng::stream_seed(seed, static_cast<std::uint64_t>(first + k)));
         const auto lane = static_cast<std::size_t>(lanes);
         if (shard == nullptr) {
           sampler.draw_into(run_rng, ctx.batch_sc, lane);
@@ -550,8 +646,8 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
         bool inserted = false;
         const std::uint32_t id = shard->table.intern(ctx.key.data(), inserted);
         if (inserted && shared != nullptr &&
-            shared->find_copy(ctx.key.data(), nschemes, ncells, metrics,
-                              ctx.rec_tmp)) {
+            shared->find_copy(ctx.key.data(), rec_schemes, rec_cells,
+                              rec_metrics, ctx.rec_tmp)) {
           adopt_run = k++;
           adopt_id = id;
           break;
@@ -563,56 +659,50 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
     const auto nlanes = static_cast<std::size_t>(lanes);
     if (shard == nullptr) {
       const auto g = static_cast<std::size_t>(group_first);
-      simulate_group(nlanes, first + group_first,
-                     ctx.stage.npm_energy.data() + g,
-                     ctx.stage.degenerate.data() + g,
-                     ctx.stage.schemes.data() + g * nschemes, nullptr);
+      for (const ChunkMember& m : members) {
+        const std::size_t nschemes = m.plan->model->schemes.size();
+        simulate_lanes(m, nlanes, first + group_first,
+                       m.stage->npm_energy.data() + g,
+                       m.stage->degenerate.data() + g,
+                       m.stage->schemes.data() + g * nschemes, nullptr);
+      }
       continue;
     }
     if (nlanes > 0) {
-      // intern assigned the group's ids densely in lane order, so lane l's
-      // record id is base + l.
+      // intern assigned the lane group's ids densely in lane order, so lane
+      // l's record id is base + l.
       const std::size_t base = shard->record_count();
       shard->npm_energy.resize(base + nlanes);
       shard->degenerate.resize(base + nlanes);
-      shard->rows.resize((base + nlanes) * nschemes);
-      if (metrics) shard->cells.resize((base + nlanes) * ncells);
-      simulate_group(nlanes, first + group_first,
+      shard->rows.resize((base + nlanes) * rec_schemes);
+      if (rec_metrics) shard->cells.resize((base + nlanes) * rec_cells);
+      simulate_lanes(lead, nlanes, first + group_first,
                      shard->npm_energy.data() + base,
                      shard->degenerate.data() + base,
-                     shard->rows.data() + base * nschemes,
-                     metrics ? shard->cells.data() + base * ncells : nullptr);
+                     shard->rows.data() + base * rec_schemes,
+                     rec_metrics ? shard->cells.data() + base * rec_cells
+                                 : nullptr);
       if (shared != nullptr)
         for (std::size_t l = 0; l < nlanes; ++l)
           shard->pending.push_back(static_cast<std::uint32_t>(base + l));
       shard->misses += nlanes;
     }
     for (const auto& [idx, id] : ctx.fill)
-      replay_record(*shard, id, ctx.stage, static_cast<std::size_t>(idx),
-                    nschemes, obs.cells, ncells);
+      replay_record(*shard, id, *lead.stage, static_cast<std::size_t>(idx),
+                    rec_schemes, lead.obs.cells, rec_cells);
     ctx.fill.clear();
     if (adopt_run >= 0) {
-      append_record(*shard, ctx.rec_tmp, metrics);
-      replay_record(*shard, adopt_id, ctx.stage,
-                    static_cast<std::size_t>(adopt_run), nschemes, obs.cells,
-                    ncells);
+      append_record(*shard, ctx.rec_tmp, rec_metrics);
+      replay_record(*shard, adopt_id, *lead.stage,
+                    static_cast<std::size_t>(adopt_run), rec_schemes,
+                    lead.obs.cells, rec_cells);
     }
   }
   if (shard == nullptr) return;
   shard->hits += static_cast<std::uint64_t>(count) - (shard->misses - miss0);
-  if (shared != nullptr) shared->publish(*shard, nschemes, ncells, metrics);
+  if (shared != nullptr)
+    shared->publish(*shard, rec_schemes, rec_cells, rec_metrics);
 }
-
-/// Resolved once per point of a run_points call, before the workers start.
-struct PointPlan {
-  const ExperimentConfig* model = nullptr;
-  std::size_t pm = 0;       // index into the call's power models
-  std::size_t sampler = 0;  // index into the call's compiled samplers
-  int chunk = 0;            // runs per chunk
-  int chunk_begin = 0;      // the point's first index in the flat chunk space
-  std::size_t cell_begin = 0;  // its nslots x (schemes + NPM) counter cells
-  bool dedup = false;
-};
 
 int chunk_size_for(int runs, const ExperimentConfig& cfg) {
   if (cfg.chunk_runs > 0) return cfg.chunk_runs;
@@ -770,34 +860,9 @@ std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
   }
   if (specs.empty()) return {};
 
-  // The flat chunk space is the prefix sum of the points' chunk counts,
-  // which can overflow int even when every point's count fits: do the
-  // arithmetic in 64 bits and reject calls whose chunk space does not fit
-  // the pool's int chunk indices — before any per-run storage is
-  // allocated. (runs + chunk - 1 alone can overflow int for runs near
-  // INT_MAX.)
   std::vector<PointPlan> plans(specs.size());
-  std::int64_t total_chunks64 = 0;
-  for (std::size_t p = 0; p < specs.size(); ++p) {
-    PointPlan& plan = plans[p];
-    plan.model = &model_of(specs[p]);
-    plan.chunk = chunk_size_for(plan.model->runs, cfg);
-    plan.chunk_begin = static_cast<int>(total_chunks64);  // checked below
-    total_chunks64 +=
-        (static_cast<std::int64_t>(plan.model->runs) + plan.chunk - 1) /
-        plan.chunk;
-  }
-  PASERTA_REQUIRE(
-      total_chunks64 <= std::numeric_limits<int>::max(),
-      "chunk space overflows int: " << specs.size() << " points, "
-                                    << total_chunks64
-                                    << " chunks (chunk_runs="
-                                    << cfg.chunk_runs
-                                    << ") — raise chunk_runs or split the "
-                                       "sweep");
-  const int total_chunks = static_cast<int>(total_chunks64);
-  const int max_workers = std::min(cfg.threads, total_chunks);
-  const int claim_batch = claim_batch_for(total_chunks64, max_workers);
+  for (std::size_t p = 0; p < specs.size(); ++p)
+    plans[p].model = &model_of(specs[p]);
   const int batch_lanes = batch_lanes_for(cfg);
 
   // --- Observability. Everything in this block is write-only for the
@@ -819,10 +884,7 @@ std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
     tel.busy_ns = &reg->counter("pool.busy_ns");
     tel.idle_ns = &reg->counter("pool.idle_ns");
   }
-  if (cfg.progress != nullptr) {
-    tel.progress = cfg.progress;
-    cfg.progress->add_total(total_chunks);
-  }
+  tel.progress = cfg.progress;
   // Phase profiler: resolve every phase id once, before the workers start
   // (Profiler::phase takes a mutex; the hot paths then index by id). The
   // pool.* phases are top-level — together with harness.compile/finalize
@@ -848,30 +910,10 @@ std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
     telp = &tel;
 
   // Everything between here and the pool run that is not sampler
-  // compilation is per-run storage allocation and dedup plumbing; charge
-  // it as harness.setup (two scope entries, split around the compile) so
-  // the top-level phases keep tiling the call.
+  // compilation is per-run storage allocation, kernel plans and dedup
+  // plumbing; charge it as harness.setup (two scope entries, split around
+  // the compile) so the top-level phases keep tiling the call.
   auto setup_scope = std::make_optional<ProfScope>(prof, ph_setup, 0);
-
-  // Engine-counter cells, one SimCounters row (schemes + NPM) per
-  // (point, slot): each worker accumulates into its own slot's row without
-  // synchronization, and the rows are summed in fixed slot order after the
-  // join, so the totals are thread-count independent.
-  const std::size_t nslots =
-      static_cast<std::size_t>(std::max(1, max_workers));
-  std::size_t ncells_total = 0;
-  for (PointPlan& plan : plans) {
-    plan.cell_begin = ncells_total;
-    ncells_total += nslots * (plan.model->schemes.size() + 1);
-  }
-  std::vector<SimCounters> cells(cfg.collect_metrics ? ncells_total : 0);
-
-  // Preallocate every per-run slot before the workers start, so the run
-  // loop itself writes in place without allocating.
-  std::vector<PointOutcomes> outcomes;
-  outcomes.reserve(specs.size());
-  for (const PointPlan& plan : plans)
-    outcomes.emplace_back(plan.model->runs, plan.model->schemes.size());
 
   // One power model per distinct point config, and one compiled sampler
   // per distinct application: load-sweep points share both, so a 10-point
@@ -909,39 +951,151 @@ std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
       plans[i].sampler = j;
     }
   }
-  setup_scope.emplace(prof, ph_setup, 0);  // dedup plumbing + worker slots
+  setup_scope.emplace(prof, ph_setup, 0);  // the rest of the set-up
 
   // Dedup resolution (DESIGN.md §15), per point: the scenario space is a
-  // sampler property, the rest is the point's model. When any point
-  // dedups, each (point, slot) pair gets a lazily created single-threaded
-  // OutcomeShard; with more than one worker, each dedup point additionally
-  // gets a shared publish store so slots can adopt each other's simulated
-  // records instead of re-simulating.
+  // sampler property, the rest is the point's model.
   bool any_dedup = false;
-  {
-    std::vector<std::uint64_t> spaces(samplers.size());
-    for (std::size_t j = 0; j < samplers.size(); ++j)
-      spaces[j] = samplers[j]->scenario_space();
-    for (PointPlan& plan : plans) {
-      plan.dedup = dedup_for(*plan.model, run_tracer != nullptr,
-                             spaces[plan.sampler]);
-      any_dedup = any_dedup || plan.dedup;
+  for (PointPlan& plan : plans) {
+    plan.dedup = dedup_for(*plan.model, run_tracer != nullptr,
+                           samplers[plan.sampler]->scenario_space());
+    any_dedup = any_dedup || plan.dedup;
+  }
+
+  // Groups: points that draw the identical scenario stream (same sampler,
+  // seed and run count) share every draw. The dedup filter decides per
+  // point which draws reach the engine, so a dedup point is a group of its
+  // own.
+  std::vector<PointGroup> groups;
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    PointPlan& plan = plans[p];
+    std::size_t g = plan.dedup ? groups.size() : 0;
+    for (; g < groups.size(); ++g) {
+      const PointPlan& lead = plans[groups[g].points.front()];
+      if (!lead.dedup && lead.sampler == plan.sampler &&
+          lead.model->seed == plan.model->seed &&
+          lead.model->runs == plan.model->runs)
+        break;
+    }
+    if (g == groups.size()) groups.emplace_back();
+    plan.group = g;
+    groups[g].points.push_back(p);
+  }
+
+  // Two bounds, both summed in 64 bits ((runs + chunk - 1) alone can
+  // overflow int for runs near INT_MAX) and both checked before any per-run
+  // storage is allocated. The per-run storage is each point's own, so the
+  // call is bounded by the points' chunk counts, each point counted alone —
+  // the same calls are refused whether or not their points share draws.
+  // The flat chunk space, the prefix sum of the groups' chunk counts, is
+  // the pool's int chunk index; a group's count is one of its points', so
+  // the first bound implies the second.
+  const auto chunks_of = [](int runs, int chunk) {
+    return (static_cast<std::int64_t>(runs) + chunk - 1) / chunk;
+  };
+  std::int64_t point_chunks = 0;
+  for (const PointPlan& plan : plans)
+    point_chunks += chunks_of(plan.model->runs,
+                              chunk_size_for(plan.model->runs, cfg));
+  PASERTA_REQUIRE(point_chunks <= std::numeric_limits<int>::max(),
+                  "call too large: "
+                      << specs.size() << " points need " << point_chunks
+                      << " chunks of per-run storage, counting each point "
+                         "alone (chunk_runs="
+                      << cfg.chunk_runs
+                      << ") — raise chunk_runs or split the sweep");
+  std::int64_t group_chunks = 0;
+  for (PointGroup& group : groups) {
+    const int runs = plans[group.points.front()].model->runs;
+    group.chunk = chunk_size_for(runs, cfg);
+    group.chunk_begin = static_cast<int>(group_chunks);  // checked below
+    group_chunks += chunks_of(runs, group.chunk);
+  }
+  PASERTA_REQUIRE(group_chunks <= std::numeric_limits<int>::max(),
+                  "chunk space overflows int: "
+                      << groups.size() << " groups, " << group_chunks
+                      << " chunks (chunk_runs=" << cfg.chunk_runs << ")");
+  const int total_chunks = static_cast<int>(group_chunks);
+  const int max_workers = std::min(cfg.threads, total_chunks);
+  const int claim_batch = claim_batch_for(total_chunks, max_workers);
+  if (cfg.progress != nullptr) cfg.progress->add_total(total_chunks);
+
+  // Engine-counter cells, one SimCounters row (schemes + NPM) per
+  // (point, slot): each worker accumulates into its own slot's row without
+  // synchronization, and the rows are summed in fixed slot order after the
+  // join, so the totals are thread-count independent.
+  const std::size_t nslots =
+      static_cast<std::size_t>(std::max(1, max_workers));
+  std::size_t ncells_total = 0;
+  for (PointPlan& plan : plans) {
+    plan.cell_begin = ncells_total;
+    ncells_total += nslots * (plan.model->schemes.size() + 1);
+  }
+  std::vector<SimCounters> cells(cfg.collect_metrics ? ncells_total : 0);
+
+  // Preallocate every per-run slot before the workers start, so the run
+  // loop itself writes in place without allocating.
+  std::vector<PointOutcomes> outcomes;
+  outcomes.reserve(specs.size());
+  for (const PointPlan& plan : plans)
+    outcomes.emplace_back(plan.model->runs, plan.model->schemes.size());
+
+  // Kernel plans: one per (point, scheme) and the point's NPM baseline,
+  // built once here instead of once per engine call. Schemes whose plans
+  // are equal share one engine call per lane group — unless the point
+  // needs per-run engine work for each scheme (verify_traces, audit, a
+  // per-run tracer span), where every scheme keeps its own call.
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    PointPlan& plan = plans[p];
+    const ExperimentConfig& model = *plan.model;
+    const PointSpec& spec = specs[p];
+    const std::size_t nschemes = model.schemes.size();
+    plan.kernels.resize(nschemes + 1);
+    for (std::size_t c = 0; c <= nschemes; ++c) {
+      const auto policy = make_policy(
+          c == nschemes ? Scheme::NPM : model.schemes[c], model.policy_options);
+      policy->reset(*spec.off, pms[plan.pm]);
+      plan.kernels[c].assign(*spec.app, *spec.off, pms[plan.pm],
+                             model.overheads, *policy);
+    }
+    const bool share =
+        !(model.verify_traces || model.audit || run_tracer != nullptr);
+    plan.leader.resize(nschemes + 1);
+    for (std::size_t i = 0; i <= nschemes; ++i) {
+      const std::size_t c = engine_cell(i, nschemes);
+      plan.leader[c] = static_cast<std::uint32_t>(c);
+      for (std::size_t j = 0; share && j < i; ++j) {
+        const std::size_t e = engine_cell(j, nschemes);
+        if (plan.leader[e] == e &&
+            plan.kernels[e].same_rule(plan.kernels[c])) {
+          plan.leader[c] = static_cast<std::uint32_t>(e);
+          break;
+        }
+      }
     }
   }
+
+  // Dedup stores: when any point dedups, each (group, slot) pair gets a
+  // lazily created single-threaded OutcomeShard; with more than one
+  // worker, each dedup group (one point) additionally gets a shared publish
+  // store so slots can adopt each other's simulated records instead of
+  // re-simulating.
   std::vector<std::unique_ptr<OutcomeShard>> shards(
-      any_dedup ? specs.size() * nslots : 0);
+      any_dedup ? groups.size() * nslots : 0);
   std::vector<std::unique_ptr<SharedOutcomes>> shared_stores(
-      any_dedup && max_workers > 1 ? specs.size() : 0);
-  for (std::size_t i = 0; i < shared_stores.size(); ++i)
-    if (plans[i].dedup)
-      shared_stores[i] = std::make_unique<SharedOutcomes>(
-          samplers[plans[i].sampler]->op_count());
+      any_dedup && max_workers > 1 ? groups.size() : 0);
+  for (std::size_t g = 0; g < shared_stores.size(); ++g) {
+    const PointPlan& lead = plans[groups[g].points.front()];
+    if (lead.dedup)
+      shared_stores[g] = std::make_unique<SharedOutcomes>(
+          samplers[lead.sampler]->op_count());
+  }
 
   std::vector<std::unique_ptr<WorkerCtx>> ctxs(nslots);
 
   // A point's statistics, PointMetrics and dedup totals, from its outcomes,
   // counter cells and dedup shards — read only once every chunk of the
-  // point is done.
+  // point's group is done.
   std::vector<SweepPoint> points(specs.size());
   const auto finish = [&](std::size_t p) {
     const PointPlan& plan = plans[p];
@@ -960,37 +1114,39 @@ std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
       }
     }
     if (plan.dedup) {
+      // A dedup point is its own group: the group's stores are the point's.
       DedupStats& d = points[p].dedup;
       d.enabled = true;
       for (std::size_t slot = 0; slot < nslots; ++slot) {
-        const auto& shard = shards[p * nslots + slot];
+        const auto& shard = shards[plan.group * nslots + slot];
         if (!shard) continue;
         d.hits += shard->hits;
         d.misses += shard->misses;
         d.bytes += shard->bytes();
       }
-      if (!shared_stores.empty() && shared_stores[p])
-        d.bytes += shared_stores[p]->bytes();
+      if (!shared_stores.empty() && shared_stores[plan.group])
+        d.bytes += shared_stores[plan.group]->bytes();
     }
   };
 
-  // Early delivery (on_point): each point counts down its unfinished
+  // Early delivery (on_point): each group counts down its unfinished
   // chunks; the slot that finishes one releases everything it wrote for
-  // the point, and the calling thread (slot 0), between its own chunks,
-  // finishes and hands over every point of the done prefix.
+  // the group's points, and the calling thread (slot 0), between its own
+  // chunks, finishes and hands over every point of the done prefix.
   std::unique_ptr<std::atomic<int>[]> pending;
   std::size_t delivered = 0;
   if (on_point) {
-    pending = std::make_unique<std::atomic<int>[]>(specs.size());
-    for (std::size_t p = 0; p < specs.size(); ++p) {
-      const int end = p + 1 < specs.size() ? plans[p + 1].chunk_begin
-                                           : total_chunks;
-      pending[p].store(end - plans[p].chunk_begin, std::memory_order_relaxed);
+    pending = std::make_unique<std::atomic<int>[]>(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const int end = g + 1 < groups.size() ? groups[g + 1].chunk_begin
+                                            : total_chunks;
+      pending[g].store(end - groups[g].chunk_begin, std::memory_order_relaxed);
     }
   }
   const auto deliver_done_prefix = [&] {
     while (delivered < specs.size() &&
-           pending[delivered].load(std::memory_order_acquire) == 0) {
+           pending[plans[delivered].group].load(std::memory_order_acquire) ==
+               0) {
       finish(delivered);
       on_point(delivered, points[delivered]);
       ++delivered;
@@ -1000,57 +1156,71 @@ std::vector<SweepPoint> run_points(std::span<const PointSpec> specs,
   const auto body = [&](int c, int slot) {
     auto& ctx = ctxs[static_cast<std::size_t>(slot)];
     if (!ctx) ctx = std::make_unique<WorkerCtx>(samplers.size());
-    // The point owning flat chunk c: the last plan starting at or before c.
-    const auto p = static_cast<std::size_t>(
-        std::upper_bound(plans.begin(), plans.end(), c,
-                         [](int chunk, const PointPlan& plan) {
-                           return chunk < plan.chunk_begin;
+    // The group owning flat chunk c: the last group starting at or before c.
+    const auto g = static_cast<std::size_t>(
+        std::upper_bound(groups.begin(), groups.end(), c,
+                         [](int chunk, const PointGroup& group) {
+                           return chunk < group.chunk_begin;
                          }) -
-        plans.begin() - 1);
-    const PointPlan& plan = plans[p];
-    const ExperimentConfig& model = *plan.model;
-    const std::size_t nschemes = model.schemes.size();
-    const int first = (c - plan.chunk_begin) * plan.chunk;
-    const int count = std::min(model.runs - first, plan.chunk);
-    const PointSpec& spec = specs[p];
-    TraceSpan chunk_span(tracer, slot, "chunk", static_cast<std::int64_t>(p),
+        groups.begin() - 1);
+    const PointGroup& group = groups[g];
+    const PointPlan& lead = plans[group.points.front()];
+    const int runs = lead.model->runs;
+    const int first = (c - group.chunk_begin) * group.chunk;
+    const int count = std::min(runs - first, group.chunk);
+    TraceSpan chunk_span(tracer, slot, "chunk",
+                         static_cast<std::int64_t>(group.points.front()),
                          first);
-    RunObs obs = obs_proto;
-    obs.run_tracer = run_tracer;
-    obs.slot = slot;
-    obs.point = static_cast<std::int64_t>(p);
-    if (!cells.empty())
-      obs.cells = cells.data() + plan.cell_begin +
-                  static_cast<std::size_t>(slot) * (nschemes + 1);
-    // The slot's private sampler copy for this point's application,
+    // The slot's private sampler copy for this group's application,
     // cloned from the shared master on first use.
-    auto& sampler_copy = ctx->samplers[plan.sampler];
+    auto& sampler_copy = ctx->samplers[lead.sampler];
     if (!sampler_copy)
-      sampler_copy = std::make_unique<ScenarioSampler>(*samplers[plan.sampler]);
-    // Evaluate the whole chunk into slot-private staging, then flush it
-    // into the shared run-major store with one bulk copy per array: the
-    // per-run loop touches no shared mutable memory at all.
-    ctx->stage.ensure(plan.chunk, nschemes);
-    const ScenarioSampler& sampler = *sampler_copy;
+      sampler_copy = std::make_unique<ScenarioSampler>(*samplers[lead.sampler]);
+    // Evaluate the whole chunk into slot-private staging, one stage per
+    // member, then flush each into the shared run-major store with one bulk
+    // copy per array: the per-run loop touches no shared mutable memory.
+    if (ctx->stages.size() < group.points.size())
+      ctx->stages.resize(group.points.size());
+    ctx->members.resize(group.points.size());
+    const std::span<ChunkMember> members(ctx->members);
+    for (std::size_t i = 0; i < group.points.size(); ++i) {
+      const std::size_t p = group.points[i];
+      const PointPlan& plan = plans[p];
+      const std::size_t nschemes = plan.model->schemes.size();
+      ChunkMember& m = members[i];
+      m.spec = &specs[p];
+      m.plan = &plan;
+      m.stage = &ctx->stages[i];
+      m.stage->ensure(group.chunk, nschemes);
+      m.obs = obs_proto;
+      m.obs.run_tracer = run_tracer;
+      m.obs.slot = slot;
+      m.obs.point = static_cast<std::int64_t>(p);
+      if (!cells.empty())
+        m.obs.cells = cells.data() + plan.cell_begin +
+                      static_cast<std::size_t>(slot) * (nschemes + 1);
+    }
     // The dedup filter's shard is created by the owning slot's own thread,
     // like the rest of its worker-local state.
     OutcomeShard* shard = nullptr;
     SharedOutcomes* shared = nullptr;
-    if (plan.dedup) {
-      auto& sh = shards[p * nslots + static_cast<std::size_t>(slot)];
-      if (!sh) sh = std::make_unique<OutcomeShard>(sampler.op_count());
+    if (lead.dedup) {
+      auto& sh = shards[g * nslots + static_cast<std::size_t>(slot)];
+      if (!sh)
+        sh = std::make_unique<OutcomeShard>(sampler_copy->op_count());
       shard = sh.get();
-      if (!shared_stores.empty()) shared = shared_stores[p].get();
+      if (!shared_stores.empty()) shared = shared_stores[g].get();
     }
-    evaluate_chunk(*spec.app, model, *spec.off, pms[plan.pm], spec.deadline,
-                   sampler, first, count, batch_lanes, *ctx, obs, shard,
-                   shared);
+    evaluate_chunk(members, *sampler_copy, lead.model->seed, first, count,
+                   batch_lanes, *ctx, shard, shared);
     {
-      ProfScope ps(obs.prof, obs.ph_flush, slot);
-      ctx->stage.flush(outcomes[p], first, count, nschemes);
+      ProfScope ps(obs_proto.prof, obs_proto.ph_flush, slot);
+      for (std::size_t i = 0; i < group.points.size(); ++i)
+        members[i].stage->flush(outcomes[group.points[i]], first, count,
+                                plans[group.points[i]].model->schemes.size());
     }
     if (pending) {
-      pending[p].fetch_sub(1, std::memory_order_acq_rel);
+      pending[g].fetch_sub(1, std::memory_order_acq_rel);
       if (slot == 0) deliver_done_prefix();
     }
   };

@@ -9,7 +9,8 @@
 // identical:
 //
 //  * the per-level compute-overhead table, the shared initial ready set
-//    and the policy's rule are pure functions of batch-constant inputs;
+//    and the policy's rule are pure functions of the plan's inputs, built
+//    once into the KernelPlan;
 //  * the sorted-key ready queue is a bitmap over execution order: EO
 //    values are unique on any single run path (EO ranges only overlap
 //    across mutually exclusive OR alternatives), so lowest-set-bit pop is
@@ -17,7 +18,8 @@
 //  * the speed choice required_freq -> max(floor) -> quantize_up is
 //    replaced by a multiply-compare walk up the level table from the
 //    floor's level (freq * avail >= f_max * wcet <=> freq >= ceil), which
-//    selects the identical level without a division;
+//    selects the identical level without a division; both products are
+//    exact 128-bit products, so the walk holds for every input;
 //  * duration scaling ceil(actual * f_max / freq) uses a per-level 2^64
 //    reciprocal with a final exact fixup, yielding the identical quotient
 //    of scale_time for every input (overflow-guarded: out-of-range inputs
@@ -105,6 +107,10 @@ namespace {
 
 using Form = SpeedRule::Form;
 
+inline unsigned __int128 mul128(std::uint64_t a, std::uint64_t b) {
+  return static_cast<unsigned __int128>(a) * b;
+}
+
 inline std::uint64_t mulhi64(std::uint64_t a, std::uint64_t b) {
   return static_cast<std::uint64_t>(
       (static_cast<unsigned __int128>(a) * b) >> 64);
@@ -138,51 +144,24 @@ inline std::uint32_t completion_node(std::uint64_t meta) {
   return static_cast<std::uint32_t>(meta);
 }
 
-/// Batch-constant inputs of one simulate_batch call: shared read-only
-/// tables plus the policy's rule.
-struct BatchCtx {
-  std::span<const Node> nodes;
-  std::span<const std::uint32_t> eo;
-  std::span<const SimTime> eet;
-  std::span<const std::uint32_t> nup_init;
-  std::span<const std::uint8_t> flags;
-  std::span<const SimTime> wcet;
-  std::span<const std::uint32_t> succ_off;
-  std::span<const std::uint32_t> succ_flat;
-  std::span<const Level> levels;
-  std::span<const Energy> power;
-  Freq f_max = 0;
-  const LevelTable* table = nullptr;
-  SimTime deadline{};
-  SimTime switch_time{};
-  std::uint32_t ncpus = 0;
-  std::uint32_t top_lvl = 0;   // levels.size() - 1
-  std::uint32_t nwords = 0;    // ready-bitmap words in use
-  // The policy's rule as level indices (valid per Form).
-  std::size_t initial_level = 0;
-  std::uint32_t spec_low_lvl = 0;
-  std::uint32_t spec_high_lvl = 0;
-  std::int64_t spec_theta_ps = 0;
-  PolicyOptions::SpecRounding rounding = PolicyOptions::SpecRounding::Up;
-  const ScenarioBatch* scen = nullptr;
-  const PowerModel* pm = nullptr;
-  const BatchSimOptions* opt = nullptr;
-  SimResult* results = nullptr;
-};
-
 template <Form PC, bool kCounters, bool kTrace>
 class Kernel {
  public:
   static constexpr bool kDynamic = PC != Form::Static;
 
-  Kernel(const BatchCtx& ctx, BatchWorkspace& ws) : c_(ctx), ws_(ws) {}
+  Kernel(const KernelPlan& plan, const ScenarioBatch& scen,
+         const BatchSimOptions& opt, SimResult* results, BatchWorkspace& ws)
+      : c_(plan), scen_(scen), opt_(opt), results_(results), ws_(ws) {}
 
   void run(std::size_t nlanes);
 
  private:
   using LaneScalars = BatchWorkspace::LaneScalars;
 
-  const BatchCtx& c_;
+  const KernelPlan& c_;
+  const ScenarioBatch& scen_;
+  const BatchSimOptions& opt_;
+  SimResult* results_;
   BatchWorkspace& ws_;
 
   /// All hot pointers of one lane — slab rows, the lane's scenario rows
@@ -208,8 +187,7 @@ class Kernel {
     const SimTime* actual;  // this lane's scenario rows
     const int* choice;
     const SimTime* dt_compute;
-    const BatchWorkspace::LevelDiv* level_div;
-    const std::uint64_t* fwork;
+    const KernelPlan::LevelDiv* level_div;
     std::vector<TaskRecord>* trace;
     SimCounters* cnt;
   };
@@ -231,15 +209,13 @@ class Kernel {
     v.touched_levels = ws_.touched_levels.data() + l * ws_.sl;
     v.level_touched = ws_.level_touched.data() + l * ws_.sl;
     v.touched_transitions = ws_.touched_transitions.data() + l * ws_.sll;
-    v.actual = c_.scen->lane_actual(l);
-    v.choice = c_.scen->lane_choice(l);
-    v.dt_compute = ws_.dt_compute.data();
-    v.level_div = ws_.level_div.data();
-    v.fwork = ws_.fwork.data();
+    v.actual = scen_.lane_actual(l);
+    v.choice = scen_.lane_choice(l);
+    v.dt_compute = c_.dt_compute.data();
+    v.level_div = c_.level_div.data();
     v.trace = kTrace ? &ws_.traces[l] : nullptr;
-    v.cnt = kCounters ? (c_.opt->lane_cells != nullptr
-                             ? c_.opt->lane_cells + l
-                             : c_.opt->shared_cell)
+    v.cnt = kCounters ? (opt_.lane_cells != nullptr ? opt_.lane_cells + l
+                                                    : opt_.shared_cell)
                       : nullptr;
     return v;
   }
@@ -261,15 +237,15 @@ class Kernel {
   }
 
   /// AS's OR-node update (AdaptiveSpecPolicy::on_or_fired) over the
-  /// per-batch remaining-work tables, through the shared speculate_level
+  /// plan's remaining-work tables, through the shared speculate_level
   /// rule; the lane keeps the level index instead of its frequency.
   void on_or_fired(LaneScalars& s, std::uint32_t node, int chosen_alt,
                    SimTime now) {
     if constexpr (PC == Form::Adaptive) {
-      const SimTime* alt = ws_.as_alt[node];
+      const SimTime* alt = c_.as_alt[node];
       const SimTime rem = (chosen_alt >= 0 && alt != nullptr)
                               ? alt[static_cast<std::size_t>(chosen_alt)]
-                              : ws_.as_rem_after[node];
+                              : c_.as_rem_after[node];
       s.as_floor_lvl = static_cast<std::uint32_t>(
           speculate_level(*c_.table, rem, c_.deadline - now, c_.rounding));
     } else {
@@ -457,33 +433,28 @@ void Kernel<PC, kCounters, kTrace>::dispatch(LaneView& v, LaneScalars& s,
         // No slack: required_freq is f_max, and no floor exceeds f_max, so
         // quantize_up(max(f_max, floor)) is the top level, a greedy pick.
         new_lvl = c_.top_lvl;
-      } else if (static_cast<std::uint64_t>(avail.ps) <= ws_.avail_limit &&
-                 ws_.fwork_fits) {
+      } else {
         // Division-free speed choice. With a = avail, x = f_max * wcet:
         //   freq >= ceil(x / a)  <=>  freq * a >= x,
         // so walking up from the floor's level to the first level whose
         // freq * a >= x lands exactly on quantize_up(max(gss, floor)) —
         // the walk never stops below the floor, stops at the first level
         // at least as fast as the greedy requirement, and tops out when
-        // even f_max is too slow (required_freq's clamp).
-        const std::uint64_t a = static_cast<std::uint64_t>(avail.ps);
-        const std::uint64_t x = v.fwork[idv];
+        // even f_max is too slow (required_freq's clamp). Both sides are
+        // 64x64-bit products, exact in 128 bits.
+        const auto a = static_cast<std::uint64_t>(avail.ps);
+        const unsigned __int128 x =
+            mul128(static_cast<std::uint64_t>(c_.wcet[idv].ps), c_.f_max);
         std::uint32_t walk = flvl;
-        while (walk < c_.top_lvl && c_.levels[walk].freq * a < x) ++walk;
+        while (walk < c_.top_lvl && mul128(c_.levels[walk].freq, a) < x)
+          ++walk;
         new_lvl = walk;
         if constexpr (kCounters && PC != Form::Greedy) {
           // floor > gss  <=>  ceil(x / a) < floor_freq  <=>
           // x <= a * (floor_freq - 1); the f_max clamp needs no special
           // case since floor_freq - 1 <= f_max - 1.
-          spec = x <= a * (c_.levels[flvl].freq - 1);
+          spec = x <= mul128(a, c_.levels[flvl].freq - 1);
         }
-      } else {
-        // Out-of-range inputs: the original arithmetic, bit-identical.
-        const Freq gss = required_freq(c_.f_max, c_.wcet[idv], avail);
-        const Freq floor = c_.levels[flvl].freq;
-        const Freq target = std::max(gss, floor);
-        new_lvl = c_.table->quantize_up(target);
-        spec = floor > gss;
       }
       if constexpr (kCounters) {
         if (PC != Form::Greedy && spec) ++v.cnt->spec_picks;
@@ -513,12 +484,12 @@ void Kernel<PC, kCounters, kTrace>::dispatch(LaneView& v, LaneScalars& s,
     SimTime duration;
     if (freq == c_.f_max) {
       duration = actual;
-    } else if (static_cast<std::uint64_t>(actual.ps) <= ws_.actual_limit) {
+    } else if (static_cast<std::uint64_t>(actual.ps) <= c_.actual_limit) {
       // ceil(actual * f_max / freq) by reciprocal: q0 = floor(n * m / 2^64)
       // with m = floor(2^64 / freq) undershoots floor(n / freq) by at most
       // 2, and the remainder loop lands on the exact quotient — the same
       // value scale_time's division produces, for every in-range input.
-      const BatchWorkspace::LevelDiv& d = v.level_div[lvl];
+      const KernelPlan::LevelDiv& d = v.level_div[lvl];
       const std::uint64_t num =
           static_cast<std::uint64_t>(actual.ps) * c_.f_max + d.den1;
       std::uint64_t q = mulhi64(num, d.magic);
@@ -629,7 +600,7 @@ void Kernel<PC, kCounters, kTrace>::finalize(LaneView& v, std::size_t l) {
             : 0.0;
   }
 
-  if (c_.opt->audit) {
+  if (opt_.audit) {
     // Integer time conservation: every energy-bearing picosecond the
     // ledger attributes must come from a processor's busy time — exactly.
     std::uint64_t ledger_ps = 0;
@@ -676,7 +647,7 @@ void Kernel<PC, kCounters, kTrace>::finalize(LaneView& v, std::size_t l) {
     r.trace = std::move(*v.trace);
     v.trace->clear();
   }
-  c_.results[l] = std::move(r);
+  results_[l] = std::move(r);
 }
 
 template <Form PC, bool kCounters, bool kTrace>
@@ -730,78 +701,33 @@ void Kernel<PC, kCounters, kTrace>::run(std::size_t nlanes) {
   }
 }
 
-template <Form PC, bool kC, bool kT>
-void run_kernel(const BatchCtx& ctx, BatchWorkspace& ws, std::size_t lanes) {
-  Kernel<PC, kC, kT>(ctx, ws).run(lanes);
-}
-
 template <Form PC>
-void run_class(const BatchCtx& ctx, BatchWorkspace& ws, std::size_t lanes,
-               bool counters, bool trace) {
-  if (counters) {
-    if (trace) run_kernel<PC, true, true>(ctx, ws, lanes);
-    else run_kernel<PC, true, false>(ctx, ws, lanes);
-  } else {
-    if (trace) run_kernel<PC, false, true>(ctx, ws, lanes);
-    else run_kernel<PC, false, false>(ctx, ws, lanes);
-  }
+void run_class(const KernelPlan& plan, const ScenarioBatch& batch,
+               std::size_t lanes, const BatchSimOptions& opt,
+               SimResult* results, BatchWorkspace& ws, bool counters,
+               bool trace) {
+  if (counters && trace)
+    Kernel<PC, true, true>(plan, batch, opt, results, ws).run(lanes);
+  else if (counters)
+    Kernel<PC, true, false>(plan, batch, opt, results, ws).run(lanes);
+  else if (trace)
+    Kernel<PC, false, true>(plan, batch, opt, results, ws).run(lanes);
+  else
+    Kernel<PC, false, false>(plan, batch, opt, results, ws).run(lanes);
 }
 
 }  // namespace
 
-void simulate_batch(const Application& app, const OfflineResult& off,
-                    const PowerModel& pm, const Overheads& overheads,
-                    const SpeedPolicy& policy, const ScenarioBatch& batch,
-                    std::size_t lanes, BatchWorkspace& ws, SimResult* results,
-                    const BatchSimOptions& options) {
+void KernelPlan::assign(const Application& app, const OfflineResult& off,
+                        const PowerModel& pm_in, const Overheads& overheads,
+                        const SpeedPolicy& policy) {
   const std::size_t n = app.graph.size();
-  PASERTA_REQUIRE(lanes >= 1, "need at least one lane");
-  PASERTA_REQUIRE(results != nullptr, "need a per-lane result array");
-  PASERTA_REQUIRE(batch.nodes() == n,
-                  "scenario batch does not match the application graph");
   PASERTA_REQUIRE(off.eo_table().size() == n && off.eet_table().size() == n &&
                       off.nup_init_table().size() == n &&
                       off.node_flag_table().size() == n &&
                       off.wcet_table().size() == n &&
                       off.succ_offset_table().size() == n + 1,
                   "offline result does not match the application graph");
-  PASERTA_REQUIRE(options.lane_cells == nullptr ||
-                      options.shared_cell == nullptr,
-                  "pass per-lane cells or a shared cell, not both");
-
-  // Everything up to the run_class dispatch is per-batch setup (derived
-  // tables, the policy's rule, per-lane slab reset); the dispatch
-  // loop itself is the drain. Both phases are profiler-charged when the
-  // caller wired one up (harness batch.setup / batch.drain).
-  const bool trace = options.record_trace;
-  const SpeedRule rule = policy.rule();
-  const Form pc = rule.form;
-  BatchCtx ctx;
-  {
-  ProfScope setup_scope(options.prof, options.ph_setup, options.slot);
-  ctx.nodes = app.graph.nodes();
-  ctx.eo = off.eo_table();
-  ctx.eet = off.eet_table();
-  ctx.nup_init = off.nup_init_table();
-  ctx.flags = off.node_flag_table();
-  ctx.wcet = off.wcet_table();
-  ctx.succ_off = off.succ_offset_table();
-  ctx.succ_flat = off.succ_list_table();
-  ctx.levels = pm.table().levels();
-  ctx.power = pm.level_powers();
-  ctx.f_max = pm.table().f_max();
-  ctx.table = &pm.table();
-  ctx.deadline = off.deadline();
-  ctx.switch_time = overheads.speed_change_time;
-  ctx.ncpus = static_cast<std::uint32_t>(off.cpus());
-  ctx.top_lvl = static_cast<std::uint32_t>(pm.table().size() - 1);
-  ctx.nwords = static_cast<std::uint32_t>((n + 63) / 64);
-  ctx.rounding = rule.rounding;
-  ctx.scen = &batch;
-  ctx.pm = &pm;
-  ctx.opt = &options;
-  ctx.results = results;
-
   // The ready bitmap indexes by execution order, so every EO must fall in
   // [0, n). The offline pass assigns EO as a schedule position (OR
   // alternatives share a range), so this holds for every valid result;
@@ -809,88 +735,127 @@ void simulate_batch(const Application& app, const OfflineResult& off,
   PASERTA_REQUIRE(off.max_eo() <= n, "execution order out of range: "
                                          << off.max_eo() << " for " << n
                                          << " nodes");
+  nodes = app.graph.nodes();
+  eo = off.eo_table();
+  eet = off.eet_table();
+  nup_init = off.nup_init_table();
+  flags = off.node_flag_table();
+  wcet = off.wcet_table();
+  succ_off = off.succ_offset_table();
+  succ_flat = off.succ_list_table();
+  sources = off.source_table();
+  pm = &pm_in;
+  table = &pm_in.table();
+  levels = table->levels();
+  power = pm_in.level_powers();
+  f_max = table->f_max();
+  deadline = off.deadline();
+  switch_time = overheads.speed_change_time;
+  ncpus = static_cast<std::uint32_t>(off.cpus());
+  top_lvl = static_cast<std::uint32_t>(table->size() - 1);
+  nwords = static_cast<std::uint32_t>((n + 63) / 64);
 
   // The policy's rule, as level indices. Every lane starts from the same
   // reset state: the rule of a non-adaptive policy is a pure function of
   // (off, pm), and the adaptive floor is per-lane state from here on.
-  const LevelTable& table = pm.table();
-  ctx.initial_level = pc == Form::Static ? rule.level : table.size() - 1;
-  PASERTA_REQUIRE(ctx.initial_level < table.size(),
-                  "policy '" << policy.name() << "' level "
-                             << ctx.initial_level << " out of range for table '"
-                             << table.name() << "'");
-  ctx.spec_low_lvl = static_cast<std::uint32_t>(table.quantize_up(rule.f_low));
-  ctx.spec_high_lvl =
-      static_cast<std::uint32_t>(table.quantize_up(rule.f_high));
-  ctx.spec_theta_ps = rule.theta.ps;
+  const SpeedRule rule = policy.rule();
+  form = rule.form;
+  rounding = rule.rounding;
+  const std::size_t initial =
+      form == Form::Static ? rule.level : table->size() - 1;
+  PASERTA_REQUIRE(initial < table->size(),
+                  "policy '" << policy.name() << "' level " << initial
+                             << " out of range for table '" << table->name()
+                             << "'");
+  initial_level = static_cast<std::uint32_t>(initial);
+  spec_low_lvl = static_cast<std::uint32_t>(table->quantize_up(rule.f_low));
+  spec_high_lvl = static_cast<std::uint32_t>(table->quantize_up(rule.f_high));
+  spec_theta_ps = rule.theta.ps;
 
-  const std::size_t nlevels = pm.table().size();
-  ws.ensure(lanes, n, static_cast<std::size_t>(off.cpus()), nlevels, trace);
-
-  // Batch-shared derived tables. The compute-overhead and reciprocal
-  // tables are pure functions of the level table (and cycle count), cached
-  // on its identity; the per-node and per-source tables depend on the
-  // OfflineResult and are rebuilt every call (cheap, and the offline
-  // result's address may be reused across sweep points).
-  if (ws.dt_key != ctx.levels.data() ||
-      ws.dt_cycles != overheads.speed_compute_cycles) {
-    ws.dt_compute.resize(nlevels);
-    for (std::size_t lv = 0; lv < nlevels; ++lv)
-      ws.dt_compute[lv] =
-          cycles_to_time(overheads.speed_compute_cycles, ctx.levels[lv].freq);
-    ws.level_div.resize(nlevels);
+  // Per-level tables: pure functions of the level frequencies and the
+  // compute cycles, so a rebuild over equal values keeps them.
+  const std::size_t nlevels = levels.size();
+  bool same_levels = level_div.size() == nlevels &&
+                     dt_cycles == overheads.speed_compute_cycles;
+  for (std::size_t lv = 0; same_levels && lv < nlevels; ++lv)
+    same_levels = level_div[lv].freq == levels[lv].freq;
+  if (!same_levels) {
+    dt_compute.resize(nlevels);
+    level_div.resize(nlevels);
     for (std::size_t lv = 0; lv < nlevels; ++lv) {
-      const Freq f = ctx.levels[lv].freq;
-      ws.level_div[lv].freq = f;
-      ws.level_div[lv].den1 = f - 1;
-      ws.level_div[lv].magic = static_cast<std::uint64_t>(
+      const Freq f = levels[lv].freq;
+      dt_compute[lv] = cycles_to_time(overheads.speed_compute_cycles, f);
+      level_div[lv].freq = f;
+      level_div[lv].den1 = f - 1;
+      level_div[lv].magic = static_cast<std::uint64_t>(
           (static_cast<unsigned __int128>(1) << 64) / f);
     }
-    ws.avail_limit = ~std::uint64_t{0} / ctx.f_max;
-    ws.actual_limit =
-        (~std::uint64_t{0} - (ctx.f_max - 1)) / ctx.f_max;
-    ws.dt_key = ctx.levels.data();
-    ws.dt_cycles = overheads.speed_compute_cycles;
+    dt_cycles = overheads.speed_compute_cycles;
   }
-  if (pc != Form::Static) {  // only dynamic speed choices read fwork
-    ws.fwork.resize(n);
-    ws.fwork_fits = true;
-    const std::uint64_t wcet_limit = ~std::uint64_t{0} / ctx.f_max;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const std::uint64_t w = static_cast<std::uint64_t>(ctx.wcet[v].ps);
-      if (w > wcet_limit) {
-        ws.fwork_fits = false;
-        ws.fwork[v] = 0;
-      } else {
-        ws.fwork[v] = w * ctx.f_max;
-      }
-    }
-  }
+  actual_limit = (~std::uint64_t{0} - (f_max - 1)) / f_max;
+
   // Initial ready-set template: the source bits, copied verbatim into each
-  // lane below together with their EO -> node entries.
-  ws.ready_init_words.assign(ctx.nwords, 0);
-  const std::span<const std::uint32_t> sources = off.source_table();
-  for (const std::uint32_t v : sources) {
-    const std::uint32_t eo = ctx.eo[v];
-    ws.ready_init_words[eo >> 6] |= std::uint64_t{1} << (eo & 63);
-  }
-  if (pc == Form::Adaptive) {
+  // lane together with their EO -> node entries.
+  ready_init_words.assign(nwords, 0);
+  for (const std::uint32_t v : sources)
+    ready_init_words[eo[v] >> 6] |= std::uint64_t{1} << (eo[v] & 63);
+  as_rem_after.clear();
+  as_alt.clear();
+  if (form == Form::Adaptive) {
     // Per-node expected-remaining-work tables: hoists rem_a_after()'s and
     // the fork-profile hash lookups out of the event path.
-    ws.as_rem_after.assign(n, SimTime::zero());
-    ws.as_alt.assign(n, nullptr);
+    as_rem_after.assign(n, SimTime::zero());
+    as_alt.assign(n, nullptr);
     for (std::uint32_t v = 0; v < n; ++v) {
-      if ((ctx.flags[v] & (kNodeFlagOrNode | kNodeFlagOrFork)) == 0) continue;
+      if ((flags[v] & (kNodeFlagOrNode | kNodeFlagOrFork)) == 0) continue;
       const NodeId id{v};
-      ws.as_rem_after[v] = off.rem_a_after(id);
+      as_rem_after[v] = off.rem_a_after(id);
       if (off.has_fork_profile(id))
-        ws.as_alt[v] = off.fork_profile(id).rem_a_alt.data();
+        as_alt[v] = off.fork_profile(id).rem_a_alt.data();
     }
   }
+}
 
-  // Per-lane reset (the per-run reset, amortized: the
-  // ready set's initial content and the initial level are batch
-  // constants, computed once and copied per lane).
+bool KernelPlan::same_rule(const KernelPlan& o) const {
+  if (form != o.form || initial_level != o.initial_level) return false;
+  switch (form) {
+    case Form::Static:
+    case Form::Greedy:
+      return true;
+    case Form::StaticSpec:
+      return spec_low_lvl == o.spec_low_lvl &&
+             spec_high_lvl == o.spec_high_lvl &&
+             (spec_low_lvl == spec_high_lvl ||
+              spec_theta_ps == o.spec_theta_ps);
+    case Form::Adaptive:
+      return spec_high_lvl == o.spec_high_lvl && rounding == o.rounding;
+  }
+  return false;
+}
+
+void simulate_batch(const KernelPlan& plan, const ScenarioBatch& batch,
+                    std::size_t lanes, BatchWorkspace& ws, SimResult* results,
+                    const BatchSimOptions& options) {
+  const std::size_t n = plan.nodes.size();
+  PASERTA_REQUIRE(lanes >= 1, "need at least one lane");
+  PASERTA_REQUIRE(results != nullptr, "need a per-lane result array");
+  PASERTA_REQUIRE(batch.nodes() == n,
+                  "scenario batch does not match the application graph");
+  PASERTA_REQUIRE(options.lane_cells == nullptr ||
+                      options.shared_cell == nullptr,
+                  "pass per-lane cells or a shared cell, not both");
+
+  // Everything up to the run_class dispatch is per-batch setup (the
+  // per-lane slab reset); the dispatch loop itself is the drain. Both
+  // phases are profiler-charged when the caller wired one up (harness
+  // batch.setup / batch.drain).
+  const bool trace = options.record_trace;
+  {
+  ProfScope setup_scope(options.prof, options.ph_setup, options.slot);
+  ws.ensure(lanes, n, plan.ncpus, plan.levels.size(), trace);
+
+  // Per-lane reset (the per-run reset, amortized: the ready set's initial
+  // content and the initial level are plan constants, copied per lane).
   for (std::size_t l = 0; l < lanes; ++l) {
     BatchWorkspace::LaneScalars& s = ws.lane[l];
     // Ledger reset through the previous batch's touched lists (full zero
@@ -911,20 +876,20 @@ void simulate_batch(const Application& app, const OfflineResult& off,
         trans_row[tt[i]] = 0;
     }
     s = BatchWorkspace::LaneScalars{};
-    s.ready_n = static_cast<std::uint32_t>(sources.size());
-    if (pc == Form::Adaptive) s.as_floor_lvl = ctx.spec_high_lvl;
-    std::memcpy(ws.nup.data() + l * ws.sn, ctx.nup_init.data(),
+    s.ready_n = static_cast<std::uint32_t>(plan.sources.size());
+    if (plan.form == Form::Adaptive) s.as_floor_lvl = plan.spec_high_lvl;
+    std::memcpy(ws.nup.data() + l * ws.sn, plan.nup_init.data(),
                 n * sizeof(std::uint32_t));
     std::memcpy(ws.ready_words.data() + l * ws.sw,
-                ws.ready_init_words.data(),
-                ctx.nwords * sizeof(std::uint64_t));
+                plan.ready_init_words.data(),
+                plan.nwords * sizeof(std::uint64_t));
     std::uint32_t* node_row = ws.ready_node.data() + l * ws.sn;
-    for (const std::uint32_t v : sources) node_row[ctx.eo[v]] = v;
+    for (const std::uint32_t v : plan.sources) node_row[plan.eo[v]] = v;
     std::uint32_t* lvlrow = ws.cpu_level.data() + l * ws.sc;
     std::uint8_t* sleeprow = ws.cpu_sleep.data() + l * ws.sc;
     std::int64_t* busyrow = ws.cpu_busy.data() + l * ws.sc;
-    for (std::uint32_t cpu = 0; cpu < ctx.ncpus; ++cpu) {
-      lvlrow[cpu] = static_cast<std::uint32_t>(ctx.initial_level);
+    for (std::uint32_t cpu = 0; cpu < plan.ncpus; ++cpu) {
+      lvlrow[cpu] = plan.initial_level;
       sleeprow[cpu] = 0;
       busyrow[cpu] = 0;
     }
@@ -935,20 +900,36 @@ void simulate_batch(const Application& app, const OfflineResult& off,
   const bool counters =
       options.lane_cells != nullptr || options.shared_cell != nullptr;
   ProfScope drain_scope(options.prof, options.ph_drain, options.slot);
-  switch (pc) {
+  switch (plan.form) {
     case Form::Static:
-      run_class<Form::Static>(ctx, ws, lanes, counters, trace);
+      run_class<Form::Static>(plan, batch, lanes, options, results, ws,
+                              counters, trace);
       break;
     case Form::Greedy:
-      run_class<Form::Greedy>(ctx, ws, lanes, counters, trace);
+      run_class<Form::Greedy>(plan, batch, lanes, options, results, ws,
+                              counters, trace);
       break;
     case Form::StaticSpec:
-      run_class<Form::StaticSpec>(ctx, ws, lanes, counters, trace);
+      run_class<Form::StaticSpec>(plan, batch, lanes, options, results, ws,
+                                  counters, trace);
       break;
     case Form::Adaptive:
-      run_class<Form::Adaptive>(ctx, ws, lanes, counters, trace);
+      run_class<Form::Adaptive>(plan, batch, lanes, options, results, ws,
+                                counters, trace);
       break;
   }
+}
+
+void simulate_batch(const Application& app, const OfflineResult& off,
+                    const PowerModel& pm, const Overheads& overheads,
+                    const SpeedPolicy& policy, const ScenarioBatch& batch,
+                    std::size_t lanes, BatchWorkspace& ws, SimResult* results,
+                    const BatchSimOptions& options) {
+  {
+    ProfScope setup_scope(options.prof, options.ph_setup, options.slot);
+    ws.scratch_plan.assign(app, off, pm, overheads, policy);
+  }
+  simulate_batch(ws.scratch_plan, batch, lanes, ws, results, options);
 }
 
 void simulate_batch(const Application& app, const OfflineResult& off,

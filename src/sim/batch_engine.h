@@ -17,20 +17,23 @@
 // charges a voltage transition when the level changes, and runs the task
 // for actual_time * f_max / f. Energy is integrated over [0, deadline].
 //
-// Every per-run fixed cost — input validation, the policy's rule, the
-// per-level overhead and reciprocal tables, the initial ready set — is
-// paid once per call, and all per-run mutable state lives in lane-major
-// structure-of-arrays slabs (64-byte aligned, one contiguous row per
-// lane): NUP counters, the ready set, outstanding completions, per-CPU
-// levels and busy clocks, and the energy-attribution ledger. Lanes are
-// independent and every per-lane step is exact integer arithmetic, so a
-// lane's result does not depend on the lane count; the end-of-run energy
-// is the canonical ledger fold shared with attribution_energy(). The
-// tests check the kernel against a deliberately simple reference engine
-// (tests/reference_engine.h) that shares none of this code.
+// Every per-run fixed cost — input validation, the policy's rule as level
+// indices, the per-level overhead and reciprocal tables, the initial ready
+// set, the AS remaining-work tables — lives in an immutable KernelPlan,
+// built once per (point, scheme) by the harness and reused by every call,
+// and all per-run mutable state lives in lane-major structure-of-arrays
+// slabs (64-byte aligned, one contiguous row per lane): NUP counters, the
+// ready set, outstanding completions, per-CPU levels and busy clocks, and
+// the energy-attribution ledger. Lanes are independent and every
+// per-lane step is exact integer arithmetic, so a lane's result does not
+// depend on the lane count; the end-of-run energy is the canonical ledger
+// fold shared with attribution_energy(). The tests check the kernel
+// against a deliberately simple reference engine (tests/reference_engine.h)
+// that shares none of this code.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/aligned.h"
@@ -91,7 +94,7 @@ struct BatchSimOptions {
   /// Null = counting off.
   SimCounters* shared_cell = nullptr;
   /// Phase profiler (obs/prof.h): when set, simulate_batch charges its
-  /// per-batch setup (slab reset, derived tables, policy devirtualization)
+  /// per-batch setup (slab reset; the plan build too when it builds one)
   /// to ph_setup and the lockstep dispatch loop to ph_drain, on `slot`.
   /// Write-only like every obs hook — outputs are bit-identical with it
   /// on or off. Null = two pointer tests per batch.
@@ -99,6 +102,93 @@ struct BatchSimOptions {
   int ph_setup = -1;
   int ph_drain = -1;
   int slot = 0;
+};
+
+/// One simulation kernel input compiled once: an (application, offline
+/// result, power model, overheads) tuple with a reset policy's rule. It
+/// holds the validated rule as level indices and every table the kernel
+/// derives from those inputs — the per-level compute-overhead and
+/// reciprocal tables, the initial ready set, the AS remaining-work tables —
+/// so a simulate_batch call on it only resets lane state. Immutable once
+/// built: any number of threads may run one plan at once. It refers to
+/// (does not copy) the application, offline result and power model, which
+/// must outlive it. Treat the members as engine-internal.
+class KernelPlan {
+ public:
+  KernelPlan() = default;
+  /// Builds the plan of `policy`, which must have been reset against
+  /// (off, pm); the kernel reads its rule() here and never again. `off`
+  /// must come from analyze_offline on the same application with the same
+  /// CPU count.
+  KernelPlan(const Application& app, const OfflineResult& off,
+             const PowerModel& pm, const Overheads& overheads,
+             const SpeedPolicy& policy) {
+    assign(app, off, pm, overheads, policy);
+  }
+  /// Rebuilds the plan in place, reusing its buffers (and its per-level
+  /// tables when the level frequencies and the compute cycles are the same
+  /// values as before).
+  void assign(const Application& app, const OfflineResult& off,
+              const PowerModel& pm, const Overheads& overheads,
+              const SpeedPolicy& policy);
+
+  /// Whether this plan produces exactly the results, traces and counters of
+  /// `other` on every scenario. Both plans must have been built from the
+  /// same (application, offline result, power model, overheads); then only
+  /// the rules can differ, and two rules agree when they have the same form
+  /// and the same initial level and floor levels — and the same switch
+  /// point theta where the two floors differ, and the same rounding for AS.
+  bool same_rule(const KernelPlan& other) const;
+
+  // --- Everything below is internal to sim/batch_engine.cpp. ---
+
+  // Inputs: tables of the application and offline result.
+  std::span<const Node> nodes;
+  std::span<const std::uint32_t> eo;
+  std::span<const SimTime> eet;
+  std::span<const std::uint32_t> nup_init;
+  std::span<const std::uint8_t> flags;
+  std::span<const SimTime> wcet;
+  std::span<const std::uint32_t> succ_off;
+  std::span<const std::uint32_t> succ_flat;
+  std::span<const std::uint32_t> sources;
+  std::span<const Level> levels;
+  std::span<const Energy> power;
+  const PowerModel* pm = nullptr;
+  const LevelTable* table = nullptr;
+  Freq f_max = 0;
+  SimTime deadline{};
+  SimTime switch_time{};
+  std::uint32_t ncpus = 0;
+  std::uint32_t top_lvl = 0;  // levels.size() - 1
+  std::uint32_t nwords = 0;   // ready-bitmap words in use
+
+  // The rule as level indices (valid per form).
+  SpeedRule::Form form = SpeedRule::Form::Static;
+  std::uint32_t initial_level = 0;
+  std::uint32_t spec_low_lvl = 0;
+  std::uint32_t spec_high_lvl = 0;
+  std::int64_t spec_theta_ps = 0;
+  PolicyOptions::SpecRounding rounding = PolicyOptions::SpecRounding::Up;
+
+  // Per-level speed-computation overhead cycles_to_time(cycles, freq).
+  std::vector<SimTime> dt_compute;
+  std::uint32_t dt_cycles = 0;
+  // Exact division-free duration scaling: for each level,
+  // ceil(actual * f_max / freq) via a 2^64 reciprocal plus a <=2-step
+  // fixup — the identical quotient of scale_time's u64 fast path.
+  struct LevelDiv {
+    std::uint64_t magic = 0;  // floor(2^64 / freq)
+    std::uint64_t den1 = 0;   // freq - 1 (ceil rounding addend)
+    Freq freq = 0;
+  };
+  std::vector<LevelDiv> level_div;
+  std::uint64_t actual_limit = 0; // max actual with actual*f_max+den-1 in u64
+  // Initial ready-set bitmap (source bits, copied into every lane) and the
+  // AS remaining-work tables (empty for the other forms).
+  std::vector<std::uint64_t> ready_init_words;
+  std::vector<SimTime> as_rem_after;   // per-node E[remaining] (AS)
+  std::vector<const SimTime*> as_alt;  // per-node fork alt table (AS)
 };
 
 /// Reusable lane-major SoA state of simulate_batch. All mutable per-lane
@@ -175,44 +265,23 @@ class BatchWorkspace {
   // Per-lane traces (only sized when tracing).
   std::vector<std::vector<TaskRecord>> traces;
 
-  // --- Batch-shared derived tables, cached across simulate_batch calls
-  // on the identity of their inputs. ---
-
-  // Per-level speed-computation overhead cycles_to_time(cycles, freq).
-  std::vector<SimTime> dt_compute;
-  const void* dt_key = nullptr;
-  std::uint32_t dt_cycles = 0;
-  // Exact division-free duration scaling: for each level,
-  // ceil(actual * f_max / freq) via a 2^64 reciprocal plus a <=2-step
-  // fixup — the identical quotient of scale_time's u64 fast path.
-  struct LevelDiv {
-    std::uint64_t magic = 0;  // floor(2^64 / freq)
-    std::uint64_t den1 = 0;   // freq - 1 (ceil rounding addend)
-    Freq freq = 0;
-  };
-  std::vector<LevelDiv> level_div;
-  // Per-node f_max * WCET products for the multiply-compare level walk
-  // (u64; fwork_fits false falls every dispatch back to required_freq).
-  // Rebuilt per simulate_batch call (cheap, and they depend on the
-  // OfflineResult, whose address may be reused across points).
-  std::vector<std::uint64_t> fwork;
-  bool fwork_fits = true;
-  std::uint64_t avail_limit = 0;  // max avail with freq * avail in u64
-  std::uint64_t actual_limit = 0; // max actual with actual*f_max+den-1 in u64
-  // Initial ready-set bitmap (source nodes, copied per lane) and the AS
-  // remaining-work tables.
-  std::vector<std::uint64_t> ready_init_words;
-  std::vector<SimTime> as_rem_after;   // per-node E[remaining] (AS)
-  std::vector<const SimTime*> as_alt;  // per-node fork alt table (AS)
+  // Scratch plan of the simulate_batch overloads that take a policy or a
+  // scheme (and so of simulate()): rebuilt on every such call.
+  KernelPlan scratch_plan;
 };
 
-/// Simulates `lanes` scenarios under `policy`'s rule in lockstep, writing
-/// one SimResult per lane into `results` (an array of at least `lanes`
-/// entries). Lane l consumes row l of `batch`. The policy must have been
-/// reset against (off, pm); the kernel reads its rule() once and never
-/// calls or modifies it, so every lane starts from that reset state. `off`
-/// must come from analyze_offline on the same application with the same
-/// CPU count.
+/// Simulates `lanes` scenarios under `plan` in lockstep, writing one
+/// SimResult per lane into `results` (an array of at least `lanes`
+/// entries). Lane l consumes row l of `batch`, which must have been drawn
+/// for the plan's application. Every lane starts from the plan's reset
+/// state; the call writes nothing but `ws`, `results` and the options'
+/// counter cells.
+void simulate_batch(const KernelPlan& plan, const ScenarioBatch& batch,
+                    std::size_t lanes, BatchWorkspace& ws, SimResult* results,
+                    const BatchSimOptions& options = {});
+
+/// Convenience: builds the plan of `policy` (reset against (off, pm)) into
+/// the workspace's scratch plan, and simulates.
 void simulate_batch(const Application& app, const OfflineResult& off,
                     const PowerModel& pm, const Overheads& overheads,
                     const SpeedPolicy& policy, const ScenarioBatch& batch,

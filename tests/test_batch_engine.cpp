@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "apps/random_app.h"
+#include "graph/program.h"
 #include "core/offline.h"
 #include "harness/experiment.h"
 #include "obs/metrics.h"
@@ -30,6 +31,7 @@
 #include "sim/batch_engine.h"
 #include "sim/engine.h"
 #include "sim/sampler.h"
+#include "sim/scenario.h"
 
 namespace paserta {
 namespace {
@@ -197,6 +199,83 @@ TEST(BatchEngine, MatchesScalarEngineOnRandomApps) {
         EXPECT_EQ(want[l].deadline_met, got[l].deadline_met);
         expect_trace_eq(want[l].trace, got[l].trace);
         expect_counters_eq(want_cells[l], got_cells[l]);
+      }
+    }
+  }
+}
+
+// The speed choice compares freq * avail with f_max * wcet as exact 128-bit
+// products. One-task applications without overheads put a task's slack
+// avail (its EET, dispatched at t = 0) at the largest value whose product
+// with f_max fits 64 bits and one picosecond either side, with WCETs on
+// and next to every level's boundary, and take wcet * f_max past 2^64; the
+// kernel must pick every level, and count every floor-vs-greedy decision,
+// as the reference engine does.
+TEST(BatchEngine, SpeedChoiceIsExactPastSixtyFourBitProducts) {
+  Overheads ovh;
+  ovh.speed_compute_cycles = 0;
+  ovh.speed_change_time = SimTime::zero();
+  for (const LevelTable& table :
+       {LevelTable::transmeta_tm5400(), LevelTable::intel_xscale()}) {
+    const PowerModel pm(table);
+    const Freq f_max = table.f_max();
+    const auto limit =
+        static_cast<std::int64_t>(~std::uint64_t{0} / f_max);
+    struct Case {
+      std::int64_t avail;
+      std::int64_t wcet;
+    };
+    std::vector<Case> cases;
+    for (std::int64_t da : {-1, 0, 1}) {
+      const std::int64_t avail = limit + da;
+      for (std::size_t lv = 0; lv < table.size(); ++lv) {
+        // The WCET whose greedy requirement ceil(f_max * wcet / avail) is
+        // level lv's frequency, rounded down, and its neighbours.
+        const auto w = static_cast<std::int64_t>(
+            static_cast<__int128>(table.level(lv).freq) * avail / f_max);
+        for (std::int64_t dw : {-1, 0, 1}) cases.push_back({avail, w + dw});
+      }
+    }
+    // wcet * f_max at and past 2^64.
+    cases.push_back({2 * (limit + 1), limit + 1});
+    cases.push_back({3 * limit, 2 * limit});
+    cases.push_back({limit + 2, limit + 1});
+
+    for (const Case& c : cases) {
+      SCOPED_TRACE(testing::Message() << table.name() << " avail " << c.avail
+                                      << " wcet " << c.wcet);
+      Program prog;
+      prog.task("t", SimTime{c.wcet}, SimTime{c.wcet / 2});
+      const Application app = build_application("wide", prog);
+      std::uint32_t task = 0;
+      while (app.graph.node(NodeId{task}).is_dummy()) ++task;
+      OfflineOptions oo;
+      oo.cpus = 1;
+      oo.deadline = SimTime{c.avail};
+      OfflineResult off = analyze_offline(app, oo);
+      // Place the task's EET exactly on the wanted slack.
+      oo.deadline = SimTime{c.avail + (c.avail - off.eet_table()[task].ps)};
+      off = analyze_offline(app, oo);
+      ASSERT_EQ(off.eet_table()[task].ps, c.avail);
+      const RunScenario sc = worst_case_scenario(app.graph);
+      for (Scheme scheme :
+           {Scheme::GSS, Scheme::SS1, Scheme::SS2, Scheme::AS}) {
+        SCOPED_TRACE(testing::Message() << to_string(scheme));
+        auto policy = make_policy(scheme);
+        policy->reset(off, pm);
+        SimCounters want_cell;
+        const SimResult want =
+            reference_simulate(app, off, pm, ovh, *policy, sc, &want_cell);
+        policy->reset(off, pm);
+        SimWorkspace ws;
+        SimOptions so;
+        SimCounters got_cell;
+        so.counters = &got_cell;
+        const SimResult got = simulate(app, off, pm, ovh, *policy, sc, ws, so);
+        EXPECT_EQ(want.total_energy(), got.total_energy());
+        EXPECT_EQ(want.finish_time.ps, got.finish_time.ps);
+        expect_trace_eq(want.trace, got.trace);
+        expect_counters_eq(want_cell, got_cell);
       }
     }
   }

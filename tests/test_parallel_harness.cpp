@@ -62,18 +62,21 @@ TEST(ParallelHarness, MoreThreadsThanRuns) {
 }
 
 TEST(ParallelHarness, OverflowingChunkSpaceRejected) {
-  // The flat chunk space is npoints * chunks_per_point; at chunk_runs=1
-  // and runs=INT_MAX a two-point sweep overflows int. The harness must do
-  // this arithmetic in 64 bits and reject the configuration up front —
-  // before any per-run storage is allocated (the run-major outcome arrays
-  // for INT_MAX runs would be hundreds of gigabytes).
+  // Per-run storage is each point's own, so a call is bounded by its
+  // points' chunk counts, each point counted alone; at chunk_runs=1 and
+  // runs=INT_MAX a two-point sweep needs 2 * INT_MAX of them (its two
+  // points share draws, so the pool's own chunk space, INT_MAX, would
+  // fit). The harness must do this arithmetic in 64 bits and reject the
+  // configuration up front — before any per-run storage is allocated (the
+  // run-major outcome arrays for INT_MAX runs would be hundreds of
+  // gigabytes).
   const Application app = apps::build_synthetic();
   ExperimentConfig cfg = config(std::numeric_limits<int>::max(), 2);
   cfg.chunk_runs = 1;
   EXPECT_THROW(sweep_load(app, cfg, {0.5, 1.0}), Error);
-  // One point at the same runs/chunk still fits (chunks_per_point ==
-  // INT_MAX exactly), so the rejection above is the product overflowing,
-  // not a blanket cap on large run counts. Not executed here: actually
+  // One point at the same runs/chunk still fits (its chunk count is
+  // INT_MAX exactly), so the rejection above is the per-call storage
+  // bound, not a blanket cap on large run counts. Not executed here: actually
   // allocating INT_MAX runs of outcome storage is its own (intended)
   // failure mode, and the chunk-space validation fires before it.
 }

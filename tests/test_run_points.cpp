@@ -5,8 +5,12 @@
 // and chunk size; and the call's engine counters must reach the registry
 // as exactly the sum of its points' PointMetrics. A completion callback
 // must see every point once, in order, on the calling thread, equal to
-// what the call returns. Labeled pool_smoke, so CI also runs it under
-// ASan/UBSan and TSan.
+// what the call returns. Points that draw the same scenario stream (same
+// application, seed and run count) share each draw, and schemes whose
+// kernel plans are equal share each engine call: both must be invisible
+// against the serial reference harness (tests/reference_harness.h), which
+// draws and simulates every (run, scheme) on its own. Labeled pool_smoke,
+// so CI also runs it under ASan/UBSan and TSan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +27,12 @@
 #include "apps/synthetic.h"
 #include "core/offline.h"
 #include "harness/experiment.h"
+#include "harness/figures.h"
 #include "obs/metrics.h"
+#include "obs/prof.h"
+#include "reference_harness.h"
+#include "sim/batch_engine.h"
+#include "sim/scenario.h"
 
 namespace paserta {
 namespace {
@@ -313,6 +322,402 @@ TEST(RunPoints, OnPointExceptionAbortsTheCallAfterEarlierPoints) {
                  std::runtime_error);
     EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
   }
+}
+
+// ---- Groups: one draw per shared scenario stream -------------------------
+
+// A load sweep is one group (every point has the same application, seed and
+// run count): each lane group is drawn once and simulated into every point.
+// Every point must still equal the reference harness, bit for bit and
+// counter for counter, at every thread count, chunk size and lane count.
+// The loads span the degenerate cases of the paper's figures: SS2 collapses
+// to SS1 at low load, and SPM runs at f_max (equal to NPM) on XScale at high
+// load, so plan sharing runs inside the group too.
+TEST(RunPointsGroups, GroupedSweepLoadMatchesReferencePoint) {
+  const Application app = apps::build_atr();
+  for (const LevelTable& table :
+       {LevelTable::transmeta_tm5400(), LevelTable::intel_xscale()}) {
+    ExperimentConfig cfg = paper_figure("fig4a", 40).config;
+    cfg.table = table;
+    cfg.collect_metrics = true;
+    MetricsRegistry ref_reg;
+    cfg.registry = &ref_reg;
+    const std::vector<double> loads = {0.15, 0.3, 0.55, 0.9, 1.0};
+    const std::vector<SweepPoint> ref = reference_sweep_load(app, cfg, loads);
+    for (int threads : {1, 2, 4}) {
+      for (int chunk : {0, 7}) {
+        for (int batch : {1, 8, 32}) {
+          SCOPED_TRACE(testing::Message()
+                       << table.name() << " threads=" << threads
+                       << " chunk=" << chunk << " batch=" << batch);
+          ExperimentConfig run = cfg;
+          run.threads = threads;
+          run.chunk_runs = chunk;
+          run.batch = batch;
+          MetricsRegistry reg;
+          run.registry = &reg;
+          const std::vector<SweepPoint> got = sweep_load(app, run, loads);
+          ASSERT_EQ(got.size(), ref.size());
+          for (std::size_t p = 0; p < got.size(); ++p) {
+            SCOPED_TRACE(testing::Message() << "load " << loads[p]);
+            expect_point_eq(ref[p], got[p]);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Specs that interleave two applications, two seeds and two run counts,
+/// each combination twice: four-point groups whose members are not
+/// adjacent in spec order, and groups that differ in one key field only.
+struct Interleaved {
+  Application atr = apps::build_atr();
+  Application synthetic = apps::build_synthetic();
+  std::vector<std::unique_ptr<ExperimentConfig>> models;
+  std::vector<std::unique_ptr<OfflineResult>> offs;
+  std::vector<PointSpec> specs;
+
+  Interleaved() {
+    const double loads[] = {0.35, 0.8};
+    for (int rep = 0; rep < 2; ++rep)
+      for (int runs : {19, 33})
+        for (std::uint64_t seed : {3u, 4u})
+          for (const Application* app : {&atr, &synthetic}) {
+            auto model = std::make_unique<ExperimentConfig>();
+            model->runs = runs;
+            model->seed = seed;
+            model->collect_metrics = true;
+            OfflineOptions opt;
+            opt.cpus = model->cpus;
+            opt.overhead_budget =
+                model->overheads.worst_case_budget(model->table);
+            opt.heuristic = model->heuristic;
+            const SimTime w = canonical_worst_makespan(
+                *app, opt.cpus, opt.overhead_budget, opt.heuristic);
+            const double load = loads[(specs.size() / 3) % 2];
+            opt.deadline = deadline_for(w, load);
+            offs.push_back(
+                std::make_unique<OfflineResult>(analyze_offline(*app, opt)));
+            PointSpec spec;
+            spec.app = app;
+            spec.off = offs.back().get();
+            spec.deadline = opt.deadline;
+            spec.x = load;
+            spec.config = model.get();
+            models.push_back(std::move(model));
+            specs.push_back(spec);
+          }
+  }
+};
+
+TEST(RunPointsGroups, InterleavedSeedsAppsAndRunCountsMatchRunPointAlone) {
+  const Interleaved mix;
+  std::vector<SweepPoint> alone;
+  for (const PointSpec& spec : mix.specs) {
+    ExperimentConfig cfg = *spec.config;
+    MetricsRegistry reg;
+    cfg.registry = &reg;
+    alone.push_back(run_point(*spec.app, cfg, spec.deadline, spec.x));
+  }
+  for (int threads : {1, 4}) {
+    for (int chunk : {0, 7}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " chunk=" << chunk);
+      ExperimentConfig exec;
+      exec.threads = threads;
+      exec.chunk_runs = chunk;
+      exec.collect_metrics = true;
+      MetricsRegistry reg;
+      exec.registry = &reg;
+      std::vector<std::size_t> order;
+      const std::vector<SweepPoint> pooled = run_points(
+          mix.specs, exec,
+          [&](std::size_t i, const SweepPoint& point) {
+            order.push_back(i);
+            SCOPED_TRACE(testing::Message() << "on_point " << i);
+            expect_point_eq(alone[i], point);
+          });
+      ASSERT_EQ(pooled.size(), alone.size());
+      ASSERT_EQ(order.size(), alone.size());
+      for (std::size_t p = 0; p < pooled.size(); ++p) {
+        SCOPED_TRACE(testing::Message() << "point " << p);
+        EXPECT_EQ(order[p], p);
+        expect_point_eq(alone[p], pooled[p]);
+      }
+    }
+  }
+
+  // Eight groups of two points each draw once per lane group: at
+  // chunk_runs=7 the 19-run groups take 3 draws and the 33-run groups 5,
+  // half of the 64 draws the sixteen points would take alone.
+  ExperimentConfig exec;
+  exec.chunk_runs = 7;
+  Profiler prof(Profiler::Mode::kFallback);
+  exec.prof = &prof;
+  (void)run_points(mix.specs, exec);
+  std::uint64_t draws = 0;
+  for (const ProfPhaseTotals& t : prof.snapshot())
+    if (t.name == "harness.sample") draws = t.count;
+  EXPECT_EQ(draws, 4u * 3u + 4u * 5u);
+}
+
+// A dedup point is a group of its own, even beside points of the same
+// stream; the points of that stream that cannot dedup (verify_traces)
+// still share their draws. Each point must equal run_point on it alone —
+// statistics, counters and dedup accounting (at one thread, where which
+// slot simulates a scenario cannot vary, the misses too).
+TEST(RunPointsGroups, DedupPointsDrawAloneAndMatchRunPoint) {
+  const FigureDef fig = paper_figure("fig4a", 48);
+  Application app = figure_workload(fig);
+  assign_alpha(app.graph, 1.0);  // OR forks only: a small scenario space
+  ExperimentConfig model = fig.config;
+  model.dedup = DedupMode::kOn;
+  model.collect_metrics = true;
+  ExperimentConfig verified = model;
+  verified.verify_traces = true;
+  ExperimentConfig few = model;
+  few.schemes = {Scheme::SS2, Scheme::NPM};
+
+  const SimTime w = canonical_worst_makespan(
+      app, model.cpus, model.overheads.worst_case_budget(model.table),
+      model.heuristic);
+  std::vector<OfflineResult> offs;
+  std::vector<PointSpec> specs;
+  const struct {
+    const ExperimentConfig* model;
+    double load;
+  } points[] = {{&model, 0.2}, {&verified, 0.5}, {&few, 0.5},
+                {&model, 0.9}, {&verified, 0.9}};
+  offs.reserve(std::size(points));
+  for (const auto& pt : points) {
+    OfflineOptions opt;
+    opt.cpus = model.cpus;
+    opt.deadline = deadline_for(w, pt.load);
+    opt.overhead_budget = model.overheads.worst_case_budget(model.table);
+    offs.push_back(analyze_offline(app, opt));
+    PointSpec spec;
+    spec.app = &app;
+    spec.off = &offs.back();
+    spec.deadline = opt.deadline;
+    spec.x = pt.load;
+    spec.config = pt.model;
+    specs.push_back(spec);
+  }
+  std::vector<SweepPoint> alone;
+  for (const PointSpec& spec : specs) {
+    ExperimentConfig cfg = *spec.config;
+    MetricsRegistry reg;
+    cfg.registry = &reg;
+    alone.push_back(run_point(app, cfg, spec.deadline, spec.x));
+  }
+  ASSERT_TRUE(alone[0].dedup.enabled);
+  ASSERT_FALSE(alone[1].dedup.enabled);
+  for (int threads : {1, 2, 4}) {
+    for (int batch : {1, 32}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " batch=" << batch);
+      ExperimentConfig exec;
+      exec.threads = threads;
+      exec.batch = batch;
+      exec.collect_metrics = true;
+      MetricsRegistry reg;
+      exec.registry = &reg;
+      const std::vector<SweepPoint> got = run_points(specs, exec);
+      ASSERT_EQ(got.size(), alone.size());
+      for (std::size_t p = 0; p < got.size(); ++p) {
+        SCOPED_TRACE(testing::Message() << "point " << p);
+        expect_point_eq(alone[p], got[p]);
+        if (threads == 1) EXPECT_EQ(alone[p].dedup.misses, got[p].dedup.misses);
+      }
+    }
+  }
+
+  // Four groups (three dedup points, the two verify_traces points): in one
+  // chunk of one lane group each, the five points take four draws of every
+  // run.
+  ExperimentConfig exec;
+  exec.chunk_runs = model.runs;
+  exec.batch = model.runs;
+  Profiler prof(Profiler::Mode::kFallback);
+  exec.prof = &prof;
+  (void)run_points(specs, exec);
+  std::uint64_t draws = 0;
+  for (const ProfPhaseTotals& t : prof.snapshot())
+    if (t.name == "harness.sample") draws = t.count;
+  EXPECT_EQ(draws, 4u);
+}
+
+// ---- Equal kernel plans: one engine call per distinct plan --------------
+
+/// Engine calls of one run_point, counted by the profiler's
+/// harness.simulate scope (one entry per simulate_batch call).
+std::uint64_t engine_calls(const Profiler& prof) {
+  for (const ProfPhaseTotals& t : prof.snapshot())
+    if (t.name == "harness.simulate") return t.count;
+  return 0;
+}
+
+/// run_point on one lane group (batch = chunk = runs), with metrics and a
+/// profiler on: checks the point against the reference harness and returns
+/// how many engine calls it took.
+std::uint64_t check_point_against_reference(const Application& app,
+                                            ExperimentConfig cfg,
+                                            double load) {
+  cfg.collect_metrics = true;
+  MetricsRegistry reg;
+  cfg.registry = &reg;
+  const SimTime w = canonical_worst_makespan(
+      app, cfg.cpus, cfg.overheads.worst_case_budget(cfg.table),
+      cfg.heuristic);
+  const SimTime deadline = deadline_for(w, load);
+  const SweepPoint ref = reference_point(app, cfg, deadline, load);
+  Profiler prof(Profiler::Mode::kFallback);
+  cfg.prof = &prof;
+  cfg.batch = cfg.runs;
+  cfg.chunk_runs = cfg.runs;
+  expect_point_eq(ref, run_point(app, cfg, deadline, load));
+  return engine_calls(prof);
+}
+
+TEST(RunPointsSharing, SchemeListedTwiceRunsOnceWithItsOwnCounters) {
+  ExperimentConfig cfg;
+  cfg.runs = 40;
+  cfg.schemes = {Scheme::GSS, Scheme::SS1, Scheme::GSS};
+  // NPM, GSS and SS1: the second GSS copies the first one's rows and
+  // counter adds.
+  EXPECT_EQ(check_point_against_reference(apps::build_atr(), cfg, 0.5), 3u);
+}
+
+TEST(RunPointsSharing, Fig6bSpmRunsAtFmaxAndSharesNpmsCall) {
+  const FigureDef fig = paper_figure("fig6b", 60);
+  const Application app = figure_workload(fig);
+  ExperimentConfig cfg = fig.config;
+  {
+    // The degeneracy itself: at load 0.9 on XScale, SPM's one level is
+    // the top level, NPM's.
+    const PowerModel pm(cfg.table, cfg.c_ef, cfg.idle_fraction);
+    OfflineOptions opt;
+    opt.cpus = cfg.cpus;
+    opt.overhead_budget = cfg.overheads.worst_case_budget(cfg.table);
+    const SimTime w = canonical_worst_makespan(app, opt.cpus,
+                                               opt.overhead_budget,
+                                               opt.heuristic);
+    opt.deadline = deadline_for(w, fig.fixed_load);
+    const OfflineResult off = analyze_offline(app, opt);
+    const auto spm = make_policy(Scheme::SPM);
+    spm->reset(off, pm);
+    ASSERT_EQ(spm->static_level(), cfg.table.size() - 1);
+  }
+  // Six cells (NPM + five schemes), five distinct plans.
+  EXPECT_EQ(check_point_against_reference(app, cfg, fig.fixed_load), 5u);
+}
+
+TEST(RunPointsSharing, LowLoadSs2CollapsesToSs1AndSharesItsCall) {
+  const FigureDef fig = paper_figure("fig4a", 60);
+  const Application app = figure_workload(fig);
+  for (double load : {0.1, 0.25, 0.4}) {
+    SCOPED_TRACE(testing::Message() << "load " << load);
+    EXPECT_EQ(check_point_against_reference(app, fig.config, load), 5u);
+  }
+}
+
+// One slot shares calls for points of both power tables (16 and 5
+// levels) in one call: each shared call's counters must reach exactly its
+// own point's cells.
+TEST(RunPointsSharing, SharedCallsAcrossPowerTablesKeepTheirCounters) {
+  Mix mix;
+  ExperimentConfig low = paper_figure("fig4a", 30).config;  // SS2 == SS1
+  low.collect_metrics = true;
+  mix.add(mix.apps[0].get(), low, 0.2);
+  ExperimentConfig high = paper_figure("fig6b", 30).config;  // SPM == NPM
+  high.collect_metrics = true;
+  mix.add(mix.apps[1].get(), high, 0.9);
+  mix.add(mix.apps[0].get(), low, 0.25);
+  std::vector<SweepPoint> alone;
+  for (const PointSpec& spec : mix.specs) {
+    ExperimentConfig cfg = *spec.config;
+    cfg.collect_metrics = true;
+    MetricsRegistry reg;
+    cfg.registry = &reg;
+    alone.push_back(run_point(*spec.app, cfg, spec.deadline, spec.x));
+  }
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ExperimentConfig exec;
+    exec.threads = threads;
+    exec.collect_metrics = true;
+    MetricsRegistry reg;
+    exec.registry = &reg;
+    const std::vector<SweepPoint> pooled = run_points(mix.specs, exec);
+    ASSERT_EQ(pooled.size(), alone.size());
+    for (std::size_t p = 0; p < pooled.size(); ++p) {
+      SCOPED_TRACE(testing::Message() << "point " << p);
+      expect_point_eq(alone[p], pooled[p]);
+    }
+  }
+}
+
+// verify_traces and audit need per-run engine work for each scheme, and a
+// per-run tracer one span per simulation: no sharing there, and the
+// verify counts stay per scheme.
+TEST(RunPointsSharing, PerRunEngineWorkKeepsOneCallPerScheme) {
+  ExperimentConfig cfg;
+  cfg.runs = 30;
+  cfg.schemes = {Scheme::GSS, Scheme::SS1, Scheme::GSS};
+  ExperimentConfig verify = cfg;
+  verify.verify_traces = true;
+  EXPECT_EQ(check_point_against_reference(apps::build_atr(), verify, 0.5),
+            4u);
+  ExperimentConfig audit = cfg;
+  audit.audit = true;
+  EXPECT_EQ(check_point_against_reference(apps::build_atr(), audit, 0.5), 4u);
+}
+
+/// A policy that reports a fixed rule, to build plans with chosen fields.
+class RulePolicy final : public SpeedPolicy {
+ public:
+  explicit RulePolicy(SpeedRule rule) : rule_(rule) {}
+  const char* name() const override { return "RULE"; }
+  void reset(const OfflineResult&, const PowerModel&) override {}
+  SpeedRule rule() const override { return rule_; }
+
+ private:
+  SpeedRule rule_;
+};
+
+TEST(RunPointsSharing, PlansThatDifferOnlyInThetaAreEqualOnlyWithOneFloor) {
+  const Application app = apps::build_atr();
+  const PowerModel pm(LevelTable::intel_xscale());
+  const LevelTable& t = pm.table();
+  OfflineOptions opt;
+  const SimTime w = canonical_worst_makespan(app, opt.cpus,
+                                             opt.overhead_budget,
+                                             opt.heuristic);
+  opt.deadline = deadline_for(w, 0.5);
+  const OfflineResult off = analyze_offline(app, opt);
+  const Overheads ovh;
+  const auto plan = [&](Freq low, Freq high, std::int64_t theta_ps) {
+    SpeedRule rule;
+    rule.form = SpeedRule::Form::StaticSpec;
+    rule.f_low = low;
+    rule.f_high = high;
+    rule.theta = SimTime{theta_ps};
+    return KernelPlan(app, off, pm, ovh, RulePolicy(rule));
+  };
+  const Freq f1 = t.level(1).freq;
+  const Freq f2 = t.level(2).freq;
+  // Two floors: theta decides when the floor steps up.
+  EXPECT_FALSE(plan(f1, f2, 1000).same_rule(plan(f1, f2, 2000)));
+  EXPECT_TRUE(plan(f1, f2, 1000).same_rule(plan(f1, f2, 1000)));
+  // One floor: theta selects between equal levels.
+  EXPECT_TRUE(plan(f2, f2, 1000).same_rule(plan(f2, f2, 2000)));
+  EXPECT_FALSE(plan(f1, f1, 0).same_rule(plan(f2, f2, 0)));
+  // A static level equal to a dynamic plan's start never merges.
+  SpeedRule top;
+  top.level = t.size() - 1;
+  EXPECT_FALSE(KernelPlan(app, off, pm, ovh, RulePolicy(top))
+                   .same_rule(plan(f2, f2, 0)));
 }
 
 }  // namespace
